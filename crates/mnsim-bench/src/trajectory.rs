@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use mnsim_circuit::batch::{solve_dc_batch, BatchOptions, PreparedSystem, Rhs};
+use mnsim_circuit::batch::{BatchOptions, PreparedSystem, Rhs};
 use mnsim_circuit::crossbar::{CrossbarCircuit, CrossbarSpec};
 use mnsim_circuit::solve::{solve_dc, Method, SolveOptions};
 use mnsim_core::config::Config;
@@ -282,7 +282,7 @@ fn dc_solve_batch_workload() -> impl FnMut() {
     let mut prepared = PreparedSystem::build(xbar.circuit(), batch_options.clone())
         .expect("linear crossbar prepares");
     let batched =
-        solve_dc_batch(&mut prepared, xbar.circuit(), &batch).expect("batch solves");
+        prepared.solve_batch(xbar.circuit(), &batch).expect("batch solves");
     for (drive, solution) in drives.iter().zip(&batched) {
         let circuit = xbar
             .circuit()
@@ -302,7 +302,7 @@ fn dc_solve_batch_workload() -> impl FnMut() {
         let mut prepared = PreparedSystem::build(xbar.circuit(), batch_options.clone())
             .expect("linear crossbar prepares");
         let solutions =
-            solve_dc_batch(&mut prepared, xbar.circuit(), &batch).expect("batch solves");
+            prepared.solve_batch(xbar.circuit(), &batch).expect("batch solves");
         assert_eq!(solutions.len(), MULTI_RHS_INPUTS);
     }
 }

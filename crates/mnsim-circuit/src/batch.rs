@@ -5,22 +5,26 @@
 //! SPICE validation sweeps many input vectors per weight matrix, fault
 //! Monte-Carlo evaluates each defective crossbar under several reads, and a
 //! neural-network forward pass pushes a whole batch of activations through
-//! one mapped layer. [`solve_dc`](crate::solve::solve_dc) re-classifies the
-//! sources, re-assembles the nodal matrix, and cold-starts the linear solver
-//! for every one of those inputs.
+//! one mapped layer. [`solve_dc`](crate::solve::solve_dc) builds its nodal
+//! system afresh for every one of those inputs.
 //!
-//! [`PreparedSystem`] lifts everything that depends only on the conductance
-//! structure out of the per-input path:
+//! [`PreparedSystem`] holds that nodal system across calls — the same
+//! assembly and engine dispatch `solve_dc` uses — so everything that depends
+//! only on the conductance structure leaves the per-input path:
 //!
 //! * the source classification and node → unknown numbering,
-//! * the assembled reduced (or full-MNA) matrix,
-//! * the dense LU factorization when the dense path is selected
-//!   (`O(n³)` once, `O(n²)` per RHS),
+//! * the assembled reduced (or full-MNA) matrix and its factorization
+//!   (`O(n³)` dense or one sparse analysis once, a back-substitution per
+//!   RHS),
 //! * a replayable right-hand-side plan so each new input vector only costs
 //!   an `O(nnz)` stamp replay,
 //! * and, on the conjugate-gradient path, the previous solution as a warm
 //!   start — correlated batches converge in a fraction of the cold
 //!   iteration count.
+//!
+//! Non-linear circuits (sinh memristors) run `solve_dc`'s Newton loop on the
+//! held system, re-stamping it per iteration, so their sparse factorization
+//! is refreshed rather than re-analyzed.
 //!
 //! **Soundness.** Reuse is only valid while the conductances are unchanged.
 //! A prepared system fingerprints the circuit it was built from (element
@@ -29,20 +33,15 @@
 //! solve a circuit whose fingerprint differs with
 //! [`CircuitError::StalePreparedSystem`]. Fault overlays and variation
 //! resamples therefore cannot silently reuse a stale factorization; use
-//! [`prepare_or_reuse`] to rebuild on change. Non-linear circuits (sinh
-//! memristors) re-linearize per operating point, so they fall back to
-//! per-solve [`solve_dc`](crate::solve::solve_dc) internally.
+//! [`prepare_or_reuse`] to refresh or rebuild on change.
 
 use mnsim_obs as obs;
 use mnsim_tech::units::Voltage;
 
-use crate::cg::solve_cg_warm;
-use crate::dense::{DenseMatrix, LuFactors};
 use crate::error::CircuitError;
-use crate::klu::SparseLu;
 use crate::mna::{Circuit, DcSolution, Element};
-use crate::solve::{auto_engine, finish, linearize, LinearEngine, Linearized, Method, SolveOptions};
-use crate::sparse::{CsrMatrix, TripletMatrix};
+use crate::nodal::NodalSystem;
+use crate::solve::{finish, linearize, solve_dc_on, Linearized, SolveOptions};
 
 static BATCH_BUILDS: obs::Counter = obs::Counter::new("circuit.batch.prepared_builds");
 static BATCH_CALLS: obs::Counter = obs::Counter::new("circuit.batch.calls");
@@ -54,7 +53,6 @@ static BATCH_CG_ITERATIONS_PER_SOLVE: obs::Histogram =
 static BATCH_WARM_STARTS: obs::Counter = obs::Counter::new("circuit.batch.warm_starts");
 static BATCH_COLD_RETRIES: obs::Counter = obs::Counter::new("circuit.batch.cold_retries");
 static BATCH_STALE: obs::Counter = obs::Counter::new("circuit.batch.stale_rejections");
-static BATCH_FALLBACKS: obs::Counter = obs::Counter::new("circuit.batch.nonlinear_fallbacks");
 static CACHE_HITS: obs::Counter = obs::Counter::new("circuit.batch.cache_hits");
 static CACHE_INVALIDATIONS: obs::Counter = obs::Counter::new("circuit.batch.invalidations");
 /// First-time builds through [`prepare_or_reuse`] (empty slot, not a
@@ -72,7 +70,8 @@ static BATCH_WARM_ITERS_SAVED: obs::Counter =
 /// Sparse-direct back-substitutions through the batch path.
 static BATCH_SPARSE: obs::Counter = obs::Counter::new("circuit.batch.sparse_backsolves");
 /// Value-only refreshes through [`prepare_or_reuse`]: the cached sparse
-/// factorization was updated in place via [`SparseLu::refresh`] instead of
+/// factorization was updated in place via
+/// [`SparseLu::refresh`](crate::klu::SparseLu::refresh) instead of
 /// rebuilding the whole prepared system.
 static VALUE_REFRESHES: obs::Counter = obs::Counter::new("circuit.batch.value_refreshes");
 
@@ -131,34 +130,6 @@ impl Rhs {
     }
 }
 
-/// One `b`-vector assembly step, recorded at build time and replayed per
-/// RHS in the exact order `solve_dc`'s assembly would execute it (so a
-/// cold-started batch solve is bitwise identical to the serial path).
-#[derive(Debug, Clone, Copy)]
-enum BOp {
-    /// `b[u] += g · v(node)` where `v` is the per-RHS driven voltage
-    /// (0 V for ground).
-    Scaled { u: usize, node: usize, g: f64 },
-    /// `b[u] += c` (equivalent-current and current-source terms).
-    Const { u: usize, c: f64 },
-    /// `b[u] = rhs[k]` (full-MNA source row).
-    Source { u: usize, k: usize },
-}
-
-/// How the linear system is solved once assembled.
-#[derive(Debug, Clone)]
-enum ReducedEngine {
-    /// Cached dense LU over the reduced system.
-    Dense(LuFactors),
-    /// Cached KLU-style sparse direct LU; value-only structure changes
-    /// refresh it in place through [`SparseLu::refresh`].
-    Sparse(SparseLu),
-    /// Sparse matrix for (warm-started) conjugate gradients.
-    Cg(CsrMatrix),
-    /// No unknowns at all (every node driven or ground).
-    Empty,
-}
-
 /// Which concrete engine a [`PreparedSystem`] ended up with — the
 /// observable face of the dense/sparse/CG dispatch, for tests and
 /// diagnostics.
@@ -174,31 +145,6 @@ pub enum EngineKind {
     Empty,
     /// Full modified nodal analysis (floating sources), cached dense LU.
     FullMna,
-    /// Non-linear circuit: per-solve Newton fallback.
-    Nonlinear,
-}
-
-#[derive(Debug, Clone)]
-enum SystemKind {
-    /// All sources grounded: reduced SPD system.
-    Reduced {
-        /// node → unknown index (`usize::MAX` for ground/driven nodes).
-        index: Vec<usize>,
-        unknowns: usize,
-        /// Per source (element order): driven node and sign of the value.
-        bindings: Vec<(usize, f64)>,
-        ops: Vec<BOp>,
-        engine: ReducedEngine,
-    },
-    /// Floating sources: cached full-MNA LU.
-    FullMna {
-        n_v: usize,
-        n: usize,
-        ops: Vec<BOp>,
-        lu: LuFactors,
-    },
-    /// Non-linear circuit: per-solve Newton fallback.
-    Nonlinear,
 }
 
 /// A DC system prepared once per conductance structure, able to solve many
@@ -212,16 +158,22 @@ pub struct PreparedSystem {
     /// conductance/current *values* changed and the sparse engine can be
     /// refreshed in place instead of rebuilt.
     structure_fingerprint: u64,
-    node_count: usize,
     n_sources: usize,
     options: BatchOptions,
+    /// Low-field linearization of the prepared circuit (its exact stamps
+    /// when linear, the Newton starting point when not).
     lin: Vec<Option<Linearized>>,
-    kind: SystemKind,
+    system: NodalSystem,
+    /// `true` while `system` holds the stamps of `lin`; a Newton solve
+    /// moves it off them, and the next solve re-stamps first.
+    at_rest: bool,
+    /// Sinh cells present: every solve runs the Newton loop.
+    nonlinear: bool,
     /// Previous CG solution for [`WarmStart::Previous`]; persists across
     /// batch calls.
     last_x: Option<Vec<f64>>,
     /// Per-solve CG iteration counts of the most recent batch call
-    /// (0 for dense, full-MNA, and fallback solves).
+    /// (0 for direct and Newton solves).
     last_iterations: Vec<usize>,
     /// Iteration count of the most recent cold (zero-guess) CG solve —
     /// the baseline `circuit.batch.warm_iterations_saved` measures warm
@@ -233,74 +185,30 @@ impl PreparedSystem {
     /// Builds a prepared system from a circuit.
     ///
     /// All structure-dependent work happens here: source classification,
-    /// unknown numbering, matrix assembly, and (on the dense path) the LU
-    /// factorization — which also means a singular system is reported at
-    /// build time rather than on the first solve.
+    /// unknown numbering, matrix assembly, and (on the direct engines) the
+    /// LU factorization — which also means a singular system is reported
+    /// at build time rather than on the first solve.
     ///
     /// # Errors
     ///
-    /// Propagates [`CircuitError::SingularSystem`] from the dense
-    /// factorization and rejects [`Method::Cg`] with floating sources
-    /// ([`CircuitError::InvalidElement`]).
+    /// Propagates [`CircuitError::SingularSystem`] from the factorization
+    /// and rejects with [`CircuitError::InvalidElement`] a circuit whose
+    /// own sources drive one node to two voltages, or
+    /// [`Method::Cg`](crate::solve::Method::Cg) with floating sources.
     pub fn build(circuit: &Circuit, options: BatchOptions) -> Result<Self, CircuitError> {
         let _trace_span = obs::trace::span("circuit.batch.build", obs::trace::Level::Stage);
         BATCH_BUILDS.inc();
-        let fingerprint = circuit_fingerprint(circuit);
-        let structure_fingerprint = circuit_structure_fingerprint(circuit);
-        let n_sources = circuit.source_count();
-        let node_count = circuit.node_count();
-
-        if circuit.is_nonlinear() {
-            return Ok(PreparedSystem {
-                fingerprint,
-                structure_fingerprint,
-                node_count,
-                n_sources,
-                options,
-                lin: Vec::new(),
-                kind: SystemKind::Nonlinear,
-                last_x: None,
-                last_iterations: Vec::new(),
-                cold_iterations: None,
-            });
-        }
-
         let lin = linearize(circuit, None);
-        let mut bindings = Vec::with_capacity(n_sources);
-        let mut all_grounded = true;
-        for element in circuit.elements() {
-            if let Element::VoltageSource { npos, nneg, .. } = element {
-                if *nneg == Circuit::GROUND {
-                    bindings.push((*npos, 1.0));
-                } else if *npos == Circuit::GROUND {
-                    bindings.push((*nneg, -1.0));
-                } else {
-                    bindings.push((usize::MAX, 0.0));
-                    all_grounded = false;
-                }
-            }
-        }
-
-        let kind = if all_grounded {
-            build_reduced(circuit, &lin, &bindings, &options)?
-        } else {
-            if options.base.method == Method::Cg {
-                return Err(CircuitError::InvalidElement {
-                    reason: "conjugate-gradient path requires all voltage sources grounded"
-                        .into(),
-                });
-            }
-            build_full_mna(circuit, &lin)?
-        };
-
+        let system = NodalSystem::build(circuit, &lin, options.base.method)?;
         Ok(PreparedSystem {
-            fingerprint,
-            structure_fingerprint,
-            node_count,
-            n_sources,
+            fingerprint: circuit_fingerprint(circuit),
+            structure_fingerprint: circuit_structure_fingerprint(circuit),
+            n_sources: circuit.source_count(),
             options,
             lin,
-            kind,
+            system,
+            at_rest: true,
+            nonlinear: circuit.is_nonlinear(),
             last_x: None,
             last_iterations: Vec::new(),
             cold_iterations: None,
@@ -326,27 +234,7 @@ impl PreparedSystem {
         bytes += self.lin.len() * 48;
         bytes += self.last_x.as_ref().map_or(0, |x| x.len() * 8);
         bytes += self.last_iterations.len() * 8;
-        bytes += match &self.kind {
-            SystemKind::Reduced {
-                index,
-                unknowns,
-                bindings,
-                ops,
-                engine,
-            } => {
-                let structure = index.len() * 8 + bindings.len() * 16 + ops.len() * 24;
-                let factors = match engine {
-                    ReducedEngine::Dense(_) => unknowns * unknowns * 8 + unknowns * 8,
-                    ReducedEngine::Sparse(lu) => lu.lu_nnz() * 16 + unknowns * 24,
-                    ReducedEngine::Cg(matrix) => matrix.nnz() * 12 + unknowns * 8,
-                    ReducedEngine::Empty => 0,
-                };
-                structure + factors
-            }
-            SystemKind::FullMna { n, ops, .. } => n * n * 8 + n * 8 + ops.len() * 24,
-            SystemKind::Nonlinear => 0,
-        };
-        bytes
+        bytes + self.system.approx_bytes()
     }
 
     /// The options the system was built with.
@@ -370,31 +258,16 @@ impl PreparedSystem {
     /// `true` when the iterative (CG) engine is active, i.e. warm starts
     /// apply.
     pub fn uses_cg(&self) -> bool {
-        matches!(
-            self.kind,
-            SystemKind::Reduced {
-                engine: ReducedEngine::Cg(_),
-                ..
-            }
-        )
+        self.engine_kind() == EngineKind::Iterative
     }
 
     /// The concrete engine this system dispatches to.
     pub fn engine_kind(&self) -> EngineKind {
-        match &self.kind {
-            SystemKind::Nonlinear => EngineKind::Nonlinear,
-            SystemKind::FullMna { .. } => EngineKind::FullMna,
-            SystemKind::Reduced { engine, .. } => match engine {
-                ReducedEngine::Dense(_) => EngineKind::Dense,
-                ReducedEngine::Sparse(_) => EngineKind::SparseDirect,
-                ReducedEngine::Cg(_) => EngineKind::Iterative,
-                ReducedEngine::Empty => EngineKind::Empty,
-            },
-        }
+        self.system.engine_kind()
     }
 
     /// Per-solve CG iteration counts of the most recent [`Self::solve_batch`]
-    /// call (0 entries for dense/full-MNA/fallback solves).
+    /// call (0 entries for direct and Newton solves).
     pub fn last_cg_iterations(&self) -> &[usize] {
         &self.last_iterations
     }
@@ -403,8 +276,9 @@ impl PreparedSystem {
     /// *values* changed but whose structure did not (a fault overlay or
     /// variation resample). Only the sparse-direct engine supports this: the
     /// cached symbolic analysis and elimination program are replayed on the
-    /// new values via [`SparseLu::refresh`], which is much cheaper than a
-    /// full rebuild.
+    /// new values via [`SparseLu::refresh`](crate::klu::SparseLu::refresh),
+    /// which is much cheaper than a full rebuild. Linear and sinh circuits
+    /// alike qualify.
     ///
     /// Returns `Ok(true)` when the refresh succeeded (the system now solves
     /// the new circuit), `Ok(false)` when this engine or structure cannot be
@@ -413,42 +287,16 @@ impl PreparedSystem {
     /// # Errors
     ///
     /// Propagates solver failures from the fallback factorization inside
-    /// [`SparseLu::refresh`] (e.g. the new values made the matrix
-    /// numerically singular).
+    /// [`SparseLu::refresh`](crate::klu::SparseLu::refresh) (e.g. the new
+    /// values made the matrix numerically singular).
     pub fn try_value_refresh(&mut self, circuit: &Circuit) -> Result<bool, CircuitError> {
-        if !self.matches_structure(circuit) || circuit.is_nonlinear() {
+        if !self.matches_structure(circuit) || self.engine_kind() != EngineKind::SparseDirect {
             return Ok(false);
         }
-        let SystemKind::Reduced {
-            engine: ReducedEngine::Sparse(lu),
-            index,
-            unknowns,
-            ops,
-            bindings,
-        } = &mut self.kind
-        else {
-            return Ok(false);
-        };
-
         let lin = linearize(circuit, None);
-        let assembly = assemble_reduced(circuit, &lin, bindings);
-        // Same structure fingerprint → same unknown numbering and sparsity
-        // pattern; anything else means the fingerprint missed a structural
-        // change, so refuse the fast path rather than risk a wrong refresh.
-        if assembly.unknowns != *unknowns || assembly.index != *index {
-            return Ok(false);
-        }
-        let csc = assembly.triplets.to_csc();
-        match lu.refresh(&csc) {
-            Ok(_bit_fast) => {}
-            // Pattern drift (a conductance collapsed to an explicit zero,
-            // say) is not an error — it just means the fast path is off.
-            Err(CircuitError::SingularSystem { .. }) if !lu.symbolic().compatible_with(&csc) => {
-                return Ok(false);
-            }
-            Err(e) => return Err(e),
-        }
-        *ops = assembly.ops;
+        self.at_rest = false;
+        self.system.restamp(circuit, &lin)?;
+        self.at_rest = true;
         self.lin = lin;
         self.fingerprint = circuit_fingerprint(circuit);
         self.last_x = None;
@@ -530,157 +378,77 @@ impl PreparedSystem {
         rhs: &Rhs,
         solved_this_batch: &mut Vec<(Vec<f64>, Vec<f64>)>,
     ) -> Result<DcSolution, CircuitError> {
-        match &self.kind {
-            SystemKind::Nonlinear => {
-                BATCH_FALLBACKS.inc();
-                self.last_iterations.push(0);
-                let voltages: Vec<Voltage> =
-                    rhs.volts.iter().map(|&v| Voltage::from_volts(v)).collect();
-                let patched = circuit.with_source_voltages(&voltages)?;
-                crate::solve::solve_dc(&patched, &self.options.base)
-            }
-            SystemKind::FullMna { n_v, n, ops, lu } => {
-                let mut b = vec![0.0; *n];
-                for op in ops {
-                    match *op {
-                        BOp::Const { u, c } => b[u] += c,
-                        BOp::Source { u, k } => b[u] = rhs.volts[k],
-                        BOp::Scaled { .. } => {}
-                    }
-                }
-                BATCH_DENSE.inc();
-                self.last_iterations.push(0);
-                let x = lu.solve(&b)?;
-                let mut voltages = vec![0.0; self.node_count];
-                voltages[1..self.node_count].copy_from_slice(&x[..*n_v]);
-                finish(circuit, &self.lin, voltages)
-            }
-            SystemKind::Reduced {
-                index,
-                unknowns,
-                bindings,
-                ops,
-                engine,
-            } => {
-                // Per-RHS driven-node voltages, with conflict detection
-                // mirroring `solve_dc`'s source classification.
-                let mut driven = vec![f64::NAN; self.node_count];
-                for (k, &(node, sign)) in bindings.iter().enumerate() {
-                    let value = sign * rhs.volts[k];
-                    if !driven[node].is_nan() && driven[node] != value {
-                        return Err(CircuitError::InvalidElement {
-                            reason: format!(
-                                "node {node} driven to both {} V and {value} V",
-                                driven[node]
-                            ),
-                        });
-                    }
-                    driven[node] = value;
-                }
-                let driven_voltage = |node: usize| -> f64 {
-                    if node == Circuit::GROUND {
-                        0.0
-                    } else {
-                        driven[node]
-                    }
-                };
-
-                let mut b = vec![0.0; *unknowns];
-                for op in ops {
-                    match *op {
-                        BOp::Scaled { u, node, g } => b[u] += g * driven_voltage(node),
-                        BOp::Const { u, c } => b[u] += c,
-                        BOp::Source { .. } => {}
-                    }
-                }
-
-                let x = match engine {
-                    ReducedEngine::Empty => Vec::new(),
-                    ReducedEngine::Dense(lu) => {
-                        BATCH_DENSE.inc();
-                        self.last_iterations.push(0);
-                        lu.solve(&b)?
-                    }
-                    ReducedEngine::Sparse(lu) => {
-                        BATCH_SPARSE.inc();
-                        self.last_iterations.push(0);
-                        lu.solve(&b)
-                    }
-                    ReducedEngine::Cg(csr) => {
-                        let x0: Option<&[f64]> = match self.options.warm_start {
-                            WarmStart::Cold => None,
-                            WarmStart::Previous => self.last_x.as_deref(),
-                            WarmStart::Nearest => solved_this_batch
-                                .iter()
-                                .min_by(|(ra, _), (rb, _)| {
-                                    let da = dist2(ra, &rhs.volts);
-                                    let db = dist2(rb, &rhs.volts);
-                                    da.total_cmp(&db)
-                                })
-                                .map(|(_, x)| x.as_slice())
-                                .or(self.last_x.as_deref()),
-                        };
-                        if x0.is_some() {
-                            BATCH_WARM_STARTS.inc();
-                        }
-                        let (x, stats) = match solve_cg_warm(csr, &b, x0, &self.options.base.cg)
-                        {
-                            Ok(result) => result,
-                            // A pathological warm start can stall where a
-                            // cold start would converge; retry cold before
-                            // giving up so the batch path is never *less*
-                            // robust than the serial one.
-                            Err(CircuitError::LinearNoConvergence { .. }) if x0.is_some() => {
-                                BATCH_COLD_RETRIES.inc();
-                                solve_cg_warm(csr, &b, None, &self.options.base.cg)?
-                            }
-                            Err(e) => return Err(e),
-                        };
-                        BATCH_CG_ITERATIONS.add(stats.iterations as u64);
-                        BATCH_CG_ITERATIONS_PER_SOLVE.record(stats.iterations as f64);
-                        self.last_iterations.push(stats.iterations);
-                        // Warm-start effectiveness: compare every warm
-                        // solve against the latest cold baseline of this
-                        // prepared system.
-                        match (x0.is_some(), self.cold_iterations) {
-                            (false, _) => self.cold_iterations = Some(stats.iterations),
-                            (true, Some(cold)) => BATCH_WARM_ITERS_SAVED
-                                .add(cold.saturating_sub(stats.iterations) as u64),
-                            (true, None) => {}
-                        }
-                        if self.options.warm_start == WarmStart::Nearest {
-                            solved_this_batch.push((rhs.volts.clone(), x.clone()));
-                        }
-                        self.last_x = Some(x.clone());
-                        x
-                    }
-                };
-
-                let mut voltages = vec![0.0; self.node_count];
-                for node in 1..self.node_count {
-                    let v = driven_voltage(node);
-                    voltages[node] = if v.is_nan() { x[index[node]] } else { v };
-                }
-                finish(circuit, &self.lin, voltages)
-            }
+        if !self.at_rest {
+            self.system.restamp(circuit, &self.lin)?;
+            self.at_rest = true;
         }
-    }
-}
+        if self.nonlinear {
+            self.last_iterations.push(0);
+            self.at_rest = false;
+            return solve_dc_on(
+                &mut self.system,
+                circuit,
+                &rhs.volts,
+                &self.lin,
+                &self.options.base,
+            );
+        }
 
-/// Solves every RHS of `batch` through `prepared`, in order.
-///
-/// Free-function form of [`PreparedSystem::solve_batch`]; see there for the
-/// contract and error conditions.
-///
-/// # Errors
-///
-/// Same as [`PreparedSystem::solve_batch`].
-pub fn solve_dc_batch(
-    prepared: &mut PreparedSystem,
-    circuit: &Circuit,
-    batch: &[Rhs],
-) -> Result<Vec<DcSolution>, CircuitError> {
-    prepared.solve_batch(circuit, batch)
+        let engine = self.engine_kind();
+        let x0: Option<&[f64]> = match (engine, self.options.warm_start) {
+            (EngineKind::Iterative, WarmStart::Previous) => self.last_x.as_deref(),
+            (EngineKind::Iterative, WarmStart::Nearest) => solved_this_batch
+                .iter()
+                .min_by(|(ra, _), (rb, _)| {
+                    let da = dist2(ra, &rhs.volts);
+                    let db = dist2(rb, &rhs.volts);
+                    da.total_cmp(&db)
+                })
+                .map(|(_, x)| x.as_slice())
+                .or(self.last_x.as_deref()),
+            _ => None,
+        };
+        if x0.is_some() {
+            BATCH_WARM_STARTS.inc();
+        }
+        let cg = &self.options.base.cg;
+        let solved = match self.system.solve(&rhs.volts, x0, cg) {
+            Ok(solved) => solved,
+            // A pathological warm start can stall where a cold start would
+            // converge; retry cold before giving up so the batch path is
+            // never *less* robust than the serial one.
+            Err(CircuitError::LinearNoConvergence { .. }) if x0.is_some() => {
+                BATCH_COLD_RETRIES.inc();
+                self.system.solve(&rhs.volts, None, cg)?
+            }
+            Err(e) => return Err(e),
+        };
+        self.last_iterations.push(solved.cg_iterations);
+        match engine {
+            EngineKind::Dense | EngineKind::FullMna => BATCH_DENSE.inc(),
+            EngineKind::SparseDirect => BATCH_SPARSE.inc(),
+            EngineKind::Iterative => {
+                let iterations = solved.cg_iterations;
+                BATCH_CG_ITERATIONS.add(iterations as u64);
+                BATCH_CG_ITERATIONS_PER_SOLVE.record(iterations as f64);
+                // Warm-start effectiveness: compare every warm solve against
+                // the latest cold baseline of this prepared system.
+                match (x0.is_some(), self.cold_iterations) {
+                    (false, _) => self.cold_iterations = Some(iterations),
+                    (true, Some(cold)) => {
+                        BATCH_WARM_ITERS_SAVED.add(cold.saturating_sub(iterations) as u64)
+                    }
+                    (true, None) => {}
+                }
+                if self.options.warm_start == WarmStart::Nearest {
+                    solved_this_batch.push((rhs.volts.clone(), solved.x.clone()));
+                }
+                self.last_x = Some(solved.x);
+            }
+            EngineKind::Empty => {}
+        }
+        finish(circuit, &self.lin, solved.voltages)
+    }
 }
 
 /// Reuses `slot`'s prepared system when it still matches `circuit` (same
@@ -690,7 +458,8 @@ pub fn solve_dc_batch(
 /// This is the invalidation idiom for call sites whose conductances change
 /// between batches (fault overlays, variation resamples): a value-only
 /// change on the sparse-direct engine replays the cached elimination
-/// program ([`SparseLu::refresh`] — the `solver.klu.refactor` fast path),
+/// program ([`SparseLu::refresh`](crate::klu::SparseLu::refresh) — the
+/// `solver.klu.refactor` fast path),
 /// and anything else drops the stale system and rebuilds.
 ///
 /// # Errors
@@ -858,250 +627,11 @@ pub fn circuit_structure_fingerprint(circuit: &Circuit) -> u64 {
     h
 }
 
-/// The structure-dependent assembly of a reduced system: unknown
-/// numbering, stamped matrix, and RHS replay plan.
-struct ReducedAssembly {
-    index: Vec<usize>,
-    unknowns: usize,
-    triplets: TripletMatrix,
-    ops: Vec<BOp>,
-}
-
-/// Assembles the reduced SPD system and its RHS replay plan. Mirrors
-/// `solve::solve_reduced` stamp-for-stamp so a cold-started batch is
-/// bitwise identical to the serial path.
-fn assemble_reduced(
-    circuit: &Circuit,
-    lin: &[Option<Linearized>],
-    bindings: &[(usize, f64)],
-) -> ReducedAssembly {
-    let n_nodes = circuit.node_count();
-    let mut is_driven = vec![false; n_nodes];
-    for &(node, _) in bindings {
-        is_driven[node] = true;
-    }
-
-    let mut index = vec![usize::MAX; n_nodes];
-    let mut unknowns = 0usize;
-    for (node, slot) in index.iter_mut().enumerate().skip(1) {
-        if !is_driven[node] {
-            *slot = unknowns;
-            unknowns += 1;
-        }
-    }
-    let fixed = |node: usize| node == Circuit::GROUND || is_driven[node];
-
-    let mut triplets = TripletMatrix::new(unknowns, unknowns);
-    let mut ops = Vec::new();
-
-    for (idx, element) in circuit.elements().iter().enumerate() {
-        match element {
-            Element::Resistor { n1, n2, .. }
-            | Element::Memristor { n1, n2, .. }
-            | Element::Capacitor { n1, n2, .. } => {
-                let Some(Linearized { g, ieq }) = lin[idx] else {
-                    continue;
-                };
-                let i1 = index[*n1];
-                let i2 = index[*n2];
-                if i1 != usize::MAX {
-                    triplets.add(i1, i1, g);
-                    if fixed(*n2) {
-                        ops.push(BOp::Scaled {
-                            u: i1,
-                            node: *n2,
-                            g,
-                        });
-                    } else {
-                        triplets.add(i1, i2, -g);
-                    }
-                    ops.push(BOp::Const { u: i1, c: -ieq });
-                }
-                if i2 != usize::MAX {
-                    triplets.add(i2, i2, g);
-                    if fixed(*n1) {
-                        ops.push(BOp::Scaled {
-                            u: i2,
-                            node: *n1,
-                            g,
-                        });
-                    } else {
-                        triplets.add(i2, i1, -g);
-                    }
-                    ops.push(BOp::Const { u: i2, c: ieq });
-                }
-            }
-            Element::CurrentSource { from, to, current } => {
-                let i = current.amperes();
-                if index[*from] != usize::MAX {
-                    ops.push(BOp::Const {
-                        u: index[*from],
-                        c: -i,
-                    });
-                }
-                if index[*to] != usize::MAX {
-                    ops.push(BOp::Const {
-                        u: index[*to],
-                        c: i,
-                    });
-                }
-            }
-            Element::VoltageSource { .. } => {} // encoded via bindings
-        }
-    }
-
-    ReducedAssembly {
-        index,
-        unknowns,
-        triplets,
-        ops,
-    }
-}
-
-/// Assembles the reduced system and attaches the linear engine selected by
-/// `options.base.method` (dense LU below [`crate::solve`]'s cutoff, sparse
-/// direct LU up to very large systems, CG beyond — or whichever the caller
-/// pinned explicitly).
-fn build_reduced(
-    circuit: &Circuit,
-    lin: &[Option<Linearized>],
-    bindings: &[(usize, f64)],
-    options: &BatchOptions,
-) -> Result<SystemKind, CircuitError> {
-    let ReducedAssembly {
-        index,
-        unknowns,
-        triplets,
-        ops,
-    } = assemble_reduced(circuit, lin, bindings);
-
-    let engine = if unknowns == 0 {
-        ReducedEngine::Empty
-    } else {
-        let choice = match options.base.method {
-            Method::Cg => LinearEngine::Cg,
-            Method::DenseLu => LinearEngine::Dense,
-            Method::SparseLu => LinearEngine::Sparse,
-            Method::Auto => auto_engine(unknowns),
-        };
-        match choice {
-            LinearEngine::Dense => {
-                let csr = triplets.to_csr();
-                ReducedEngine::Dense(DenseMatrix::from_rows(&csr.to_dense()).factor()?)
-            }
-            LinearEngine::Sparse => {
-                ReducedEngine::Sparse(SparseLu::factor(&triplets.to_csc())?)
-            }
-            LinearEngine::Cg => ReducedEngine::Cg(triplets.to_csr()),
-        }
-    };
-
-    Ok(SystemKind::Reduced {
-        index,
-        unknowns,
-        bindings: bindings.to_vec(),
-        ops,
-        engine,
-    })
-}
-
-/// Assembles and factors the full-MNA system (floating sources). The matrix
-/// does not depend on source values — only the `b[col] = V` rows do — so
-/// the LU is cached and each RHS costs one back-substitution.
-fn build_full_mna(
-    circuit: &Circuit,
-    lin: &[Option<Linearized>],
-) -> Result<SystemKind, CircuitError> {
-    let n_nodes = circuit.node_count();
-    let n_v = n_nodes - 1;
-    let sources: Vec<usize> = circuit
-        .elements()
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| matches!(e, Element::VoltageSource { .. }))
-        .map(|(i, _)| i)
-        .collect();
-    let n = n_v + sources.len();
-    let mut a = DenseMatrix::zeros(n);
-    let mut ops = Vec::new();
-
-    let row = |node: usize| -> Option<usize> {
-        if node == Circuit::GROUND {
-            None
-        } else {
-            Some(node - 1)
-        }
-    };
-
-    for (idx, element) in circuit.elements().iter().enumerate() {
-        match element {
-            Element::Resistor { n1, n2, .. }
-            | Element::Memristor { n1, n2, .. }
-            | Element::Capacitor { n1, n2, .. } => {
-                let Some(Linearized { g, ieq }) = lin[idx] else {
-                    continue;
-                };
-                if let Some(r1) = row(*n1) {
-                    a[(r1, r1)] += g;
-                    if let Some(r2) = row(*n2) {
-                        a[(r1, r2)] -= g;
-                    }
-                    ops.push(BOp::Const { u: r1, c: -ieq });
-                }
-                if let Some(r2) = row(*n2) {
-                    a[(r2, r2)] += g;
-                    if let Some(r1) = row(*n1) {
-                        a[(r2, r1)] -= g;
-                    }
-                    ops.push(BOp::Const { u: r2, c: ieq });
-                }
-            }
-            Element::CurrentSource { from, to, current } => {
-                if let Some(r) = row(*from) {
-                    ops.push(BOp::Const {
-                        u: r,
-                        c: -current.amperes(),
-                    });
-                }
-                if let Some(r) = row(*to) {
-                    ops.push(BOp::Const {
-                        u: r,
-                        c: current.amperes(),
-                    });
-                }
-            }
-            Element::VoltageSource { .. } => {}
-        }
-    }
-
-    for (k, &src_idx) in sources.iter().enumerate() {
-        if let Element::VoltageSource { npos, nneg, .. } = &circuit.elements()[src_idx] {
-            let col = n_v + k;
-            if let Some(r) = row(*npos) {
-                a[(r, col)] += 1.0;
-                a[(col, r)] += 1.0;
-            }
-            if let Some(r) = row(*nneg) {
-                a[(r, col)] -= 1.0;
-                a[(col, r)] -= 1.0;
-            }
-            ops.push(BOp::Source { u: col, k });
-        }
-    }
-
-    Ok(SystemKind::FullMna {
-        n_v,
-        n,
-        ops,
-        lu: a.factor()?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::crossbar::CrossbarSpec;
-    use crate::solve::solve_dc;
+    use crate::solve::{solve_dc, Method};
     use mnsim_tech::memristor::IvModel;
     use mnsim_tech::units::Resistance;
 
@@ -1192,37 +722,44 @@ mod tests {
 
     #[test]
     fn value_only_change_refreshes_sparse_system_in_place() {
-        let clean = spec(8, 8).build().unwrap(); // 128 unknowns → sparse
-        let mut faulty_spec = spec(8, 8);
-        faulty_spec.states[13] = Resistance::from_kilo_ohms(100.0);
-        let faulty = faulty_spec.build().unwrap();
+        // Ohmic and sinh cells alike: the sinh system's Newton loop runs on
+        // the same refreshed sparse engine.
+        for iv in [IvModel::Linear, IvModel::Sinh { alpha: 2.0 }] {
+            let mut clean_spec = spec(8, 8); // 128 unknowns → sparse
+            clean_spec.iv = iv;
+            let clean = clean_spec.build().unwrap();
+            let mut faulty_spec = clean_spec.clone();
+            faulty_spec.states[13] = Resistance::from_kilo_ohms(100.0);
+            let faulty = faulty_spec.build().unwrap();
 
-        let mut slot: Option<PreparedSystem> = None;
-        let options = BatchOptions::default();
-        prepare_or_reuse(&mut slot, clean.circuit(), &options).unwrap();
-        assert_eq!(
-            slot.as_ref().unwrap().engine_kind(),
-            EngineKind::SparseDirect
-        );
-        obs::set_enabled(true);
-        let refreshes_before = VALUE_REFRESHES.get();
+            let mut slot: Option<PreparedSystem> = None;
+            let options = BatchOptions::default();
+            prepare_or_reuse(&mut slot, clean.circuit(), &options).unwrap();
+            assert_eq!(
+                slot.as_ref().unwrap().engine_kind(),
+                EngineKind::SparseDirect
+            );
+            obs::set_enabled(true);
+            let refreshes_before = VALUE_REFRESHES.get();
 
-        // Same structure, different memristor value → refresh, not rebuild.
-        let prepared = prepare_or_reuse(&mut slot, faulty.circuit(), &options).unwrap();
-        assert_eq!(VALUE_REFRESHES.get(), refreshes_before + 1);
-        assert!(prepared.matches(faulty.circuit()));
+            // Same structure, different memristor value → refresh, not
+            // rebuild.
+            let prepared = prepare_or_reuse(&mut slot, faulty.circuit(), &options).unwrap();
+            assert_eq!(VALUE_REFRESHES.get(), refreshes_before + 1);
+            assert!(prepared.matches(faulty.circuit()));
 
-        // The refreshed system must solve the *new* circuit exactly as a
-        // cold build would.
-        let inputs = ramp_inputs(8, 2);
-        let got = prepared
-            .solve(faulty.circuit(), &Rhs::from_voltages(&inputs))
-            .unwrap();
-        let mut cold = PreparedSystem::build(faulty.circuit(), options).unwrap();
-        let want = cold
-            .solve(faulty.circuit(), &Rhs::from_voltages(&inputs))
-            .unwrap();
-        assert_eq!(got.voltages(), want.voltages());
+            // The refreshed system must solve the *new* circuit exactly as
+            // a cold build would.
+            let inputs = ramp_inputs(8, 2);
+            let got = prepared
+                .solve(faulty.circuit(), &Rhs::from_voltages(&inputs))
+                .unwrap();
+            let mut cold = PreparedSystem::build(faulty.circuit(), options).unwrap();
+            let want = cold
+                .solve(faulty.circuit(), &Rhs::from_voltages(&inputs))
+                .unwrap();
+            assert_eq!(got.voltages(), want.voltages());
+        }
     }
 
     #[test]
@@ -1230,7 +767,7 @@ mod tests {
         let xbar = spec(2, 2).build().unwrap();
         let mut prepared =
             PreparedSystem::build(xbar.circuit(), BatchOptions::default()).unwrap();
-        let solutions = solve_dc_batch(&mut prepared, xbar.circuit(), &[]).unwrap();
+        let solutions = prepared.solve_batch(xbar.circuit(), &[]).unwrap();
         assert!(solutions.is_empty());
     }
 
@@ -1290,7 +827,7 @@ mod tests {
     }
 
     #[test]
-    fn nonlinear_falls_back_to_newton() {
+    fn nonlinear_batch_matches_serial_newton() {
         let mut s = spec(2, 2);
         s.iv = IvModel::Sinh { alpha: 2.0 };
         let xbar = s.build().unwrap();
@@ -1356,6 +893,19 @@ mod tests {
         );
         // First solve of both runs is cold, so they match exactly.
         assert_eq!(cold[0], warm[0]);
+    }
+
+    #[test]
+    fn nan_rhs_propagates_instead_of_panicking() {
+        // A NaN drive voltage must reach the solution (where the callers'
+        // finiteness screens catch it), not be mistaken for a free node.
+        let xbar = spec(3, 3).build().unwrap();
+        let mut prepared =
+            PreparedSystem::build(xbar.circuit(), BatchOptions::default()).unwrap();
+        let sol = prepared
+            .solve(xbar.circuit(), &Rhs::from_volts(&[0.5, f64::NAN, 0.5]))
+            .unwrap();
+        assert!(sol.voltages().iter().any(|v| v.is_nan()));
     }
 
     #[test]

@@ -47,28 +47,12 @@ impl IterationCap {
     }
 }
 
-impl From<usize> for IterationCap {
-    /// Accepts the deprecated numeric convention: `0` maps to
-    /// [`IterationCap::Auto`] (the historical meaning of
-    /// `max_iterations: 0`), anything else to [`IterationCap::Limit`].
-    /// New code should name the variant it means.
-    fn from(value: usize) -> Self {
-        if value == 0 {
-            IterationCap::Auto
-        } else {
-            IterationCap::Limit(value)
-        }
-    }
-}
-
 /// Options controlling the conjugate-gradient iteration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CgOptions {
     /// Relative residual tolerance (‖r‖ / ‖b‖).
     pub tolerance: f64,
     /// Hard iteration cap (default [`IterationCap::Auto`] = `10 × n`).
-    /// `usize` values convert via `From` for the deprecated numeric
-    /// convention (`0` = auto).
     pub max_iterations: IterationCap,
     /// Stagnation guard: fail fast with
     /// [`CircuitError::LinearStagnated`] when this many consecutive
@@ -393,13 +377,10 @@ mod tests {
     }
 
     #[test]
-    fn iteration_cap_resolves_and_converts() {
+    fn iteration_cap_resolves() {
         assert_eq!(IterationCap::Auto.resolve(7), 70);
         assert_eq!(IterationCap::Limit(2).resolve(7), 2);
         assert_eq!(IterationCap::Limit(0).resolve(7), 0);
-        // Deprecated numeric convention: 0 = auto, n = hard limit.
-        assert_eq!(IterationCap::from(0), IterationCap::Auto);
-        assert_eq!(IterationCap::from(3), IterationCap::Limit(3));
     }
 
     #[test]

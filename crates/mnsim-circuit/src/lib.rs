@@ -8,7 +8,8 @@
 //! * [`cg`] — Jacobi-preconditioned conjugate gradients,
 //! * [`mna`] — circuit representation (resistors, sources, memristors),
 //! * [`solve`] — DC operating-point analysis with Newton-Raphson for
-//!   non-linear memristor cells,
+//!   non-linear memristor cells, on the one nodal-system assembly and
+//!   engine dispatch that the batch and transient solvers share,
 //! * [`klu`] — KLU-style sparse direct solver (BTF + AMD + Gilbert–Peierls
 //!   LU) with a cached symbolic analysis and a numeric-only `refactor()`
 //!   fast path for same-pattern value updates,
@@ -67,14 +68,13 @@ pub mod error;
 pub mod klu;
 pub mod mna;
 pub mod netlist;
+mod nodal;
 pub mod recovery;
 pub mod solve;
 pub mod sparse;
 pub mod transient;
 
-pub use batch::{
-    prepare_or_reuse, solve_dc_batch, BatchOptions, PreparedSystem, Rhs, WarmStart,
-};
+pub use batch::{prepare_or_reuse, BatchOptions, PreparedSystem, Rhs, WarmStart};
 pub use crossbar::{CrossbarCircuit, CrossbarSpec, FaultOverlay};
 pub use error::CircuitError;
 pub use klu::{analyze, RefactorError, SparseLu, SymbolicAnalysis};

@@ -1,25 +1,29 @@
 //! DC operating-point analysis.
 //!
-//! [`solve_dc`] computes the DC solution of a [`Circuit`]:
+//! [`solve_dc`] computes the DC solution of a [`Circuit`] on the crate's one
+//! nodal-system assembly (the `nodal` module), built once per call:
 //!
 //! 1. **Linear circuits** are solved in one shot. If every voltage source is
 //!    referenced to ground (true for every crossbar netlist), the nodal
 //!    matrix reduced over the driven nodes is symmetric positive-definite
-//!    and the large-system path uses Jacobi-preconditioned conjugate
-//!    gradients; small systems and circuits with floating sources use a
+//!    and goes to dense LU, sparse direct LU or Jacobi-preconditioned
+//!    conjugate gradients by size; circuits with floating sources use a
 //!    dense LU over the full modified-nodal-analysis system.
 //! 2. **Non-linear circuits** (memristors with a sinh I-V model) are solved
 //!    by Newton-Raphson: each memristor is replaced by its companion model
 //!    (differential conductance + equivalent current source) at the present
-//!    operating point and the linear solve is repeated until the node
-//!    voltages stop moving.
-
-use std::collections::HashMap;
+//!    operating point, the system is re-stamped, and the linear solve is
+//!    repeated until the node voltages stop moving. Re-stamping keeps the
+//!    sparse engine's symbolic analysis, so a Newton solve analyzes once.
 
 use mnsim_obs as obs;
 use mnsim_tech::memristor::IvModel;
 
-use crate::cg::{solve_cg, CgOptions};
+use crate::batch::EngineKind;
+use crate::cg::CgOptions;
+use crate::error::CircuitError;
+use crate::mna::{Circuit, DcSolution, Element};
+use crate::nodal::{source_volts, NodalSystem};
 
 static DC_SOLVES: obs::Counter = obs::Counter::new("circuit.solve.dc_solves");
 static DC_SPAN: obs::Span = obs::Span::new("circuit.solve.dc");
@@ -28,10 +32,6 @@ static LINEAR_SPARSE: obs::Counter = obs::Counter::new("circuit.solve.sparse_lu"
 static LINEAR_CG: obs::Counter = obs::Counter::new("circuit.solve.cg");
 static LINEAR_FULL_MNA: obs::Counter = obs::Counter::new("circuit.solve.full_mna");
 static NEWTON_ITERATIONS: obs::Counter = obs::Counter::new("circuit.solve.newton_iterations");
-use crate::dense::DenseMatrix;
-use crate::error::CircuitError;
-use crate::mna::{Circuit, DcSolution, Element};
-use crate::sparse::TripletMatrix;
 
 /// Linear-solver selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,40 +74,6 @@ impl Default for SolveOptions {
     }
 }
 
-/// Number of unknowns below which `Method::Auto` prefers the dense LU.
-/// Shared with [`crate::batch`] so prepared systems pick the same path.
-pub(crate) const DENSE_CUTOFF: usize = 96;
-
-/// Number of unknowns at which `Method::Auto` stops using the sparse
-/// direct path and switches to conjugate gradients: a 256×256 crossbar
-/// (~131k unknowns) still factorizes comfortably, while 512×512 (~524k)
-/// would pay more in fill memory than CG pays in iterations.
-pub(crate) const SPARSE_CUTOFF: usize = 200_000;
-
-/// The concrete linear engine a reduced (grounded-source) solve uses.
-/// Shared with [`crate::batch`] so prepared systems pick the same path as
-/// one-shot solves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LinearEngine {
-    /// Dense LU with partial pivoting.
-    Dense,
-    /// KLU-style sparse direct LU ([`crate::klu`]).
-    Sparse,
-    /// Jacobi-preconditioned conjugate gradients.
-    Cg,
-}
-
-/// `Method::Auto` engine choice by problem size.
-pub(crate) fn auto_engine(unknowns: usize) -> LinearEngine {
-    if unknowns < DENSE_CUTOFF {
-        LinearEngine::Dense
-    } else if unknowns < SPARSE_CUTOFF {
-        LinearEngine::Sparse
-    } else {
-        LinearEngine::Cg
-    }
-}
-
 /// One linearized conductive branch: `I(n1→n2) = g·(v1 − v2) + i_eq`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Linearized {
@@ -127,25 +93,48 @@ pub fn solve_dc(circuit: &Circuit, options: &SolveOptions) -> Result<DcSolution,
     let _span = DC_SPAN.enter();
     let _trace_span = obs::trace::span("circuit.solve_dc", obs::trace::Level::Stage);
     DC_SOLVES.inc();
-    if circuit.is_nonlinear() {
-        solve_newton(circuit, options)
-    } else {
-        let lin = linearize(circuit, None);
-        let voltages = solve_linear(circuit, &lin, options)?;
-        finish(circuit, &lin, voltages)
-    }
+    let lin = linearize(circuit, None);
+    let mut system = NodalSystem::build(circuit, &lin, options.method)?;
+    newton(&mut system, circuit, &source_volts(circuit), &lin, options)
 }
 
-/// Newton-Raphson outer loop for circuits with non-linear memristors.
-fn solve_newton(circuit: &Circuit, options: &SolveOptions) -> Result<DcSolution, CircuitError> {
+/// [`solve_dc`] on an already-built `system` that holds the stamps of the
+/// low-field linearization `lin`, with the sources at `volts`. Counted and
+/// timed like [`solve_dc`]; leaves `system` stamped at the last Newton
+/// iterate.
+pub(crate) fn solve_dc_on(
+    system: &mut NodalSystem,
+    circuit: &Circuit,
+    volts: &[f64],
+    lin: &[Option<Linearized>],
+    options: &SolveOptions,
+) -> Result<DcSolution, CircuitError> {
+    let _span = DC_SPAN.enter();
+    let _trace_span = obs::trace::span("circuit.solve_dc", obs::trace::Level::Stage);
+    DC_SOLVES.inc();
+    newton(system, circuit, volts, lin, options)
+}
+
+/// One linear solve of a linear circuit; Newton-Raphson for circuits with
+/// non-linear memristors, re-stamping `system` with each iteration's
+/// companion models until the node voltages stop moving.
+fn newton(
+    system: &mut NodalSystem,
+    circuit: &Circuit,
+    volts: &[f64],
+    lin: &[Option<Linearized>],
+    options: &SolveOptions,
+) -> Result<DcSolution, CircuitError> {
     // Initial operating point: every memristor at its low-field resistance.
-    let lin0 = linearize(circuit, None);
-    let mut voltages = solve_linear(circuit, &lin0, options)?;
+    let mut voltages = solve_step(system, volts, &options.cg)?;
+    if !circuit.is_nonlinear() {
+        return finish(circuit, lin, voltages);
+    }
 
     for _ in 0..options.newton_max_iterations {
         NEWTON_ITERATIONS.inc();
-        let lin = linearize(circuit, Some(&voltages));
-        let next = solve_linear(circuit, &lin, options)?;
+        system.restamp(circuit, &linearize(circuit, Some(&voltages)))?;
+        let next = solve_step(system, volts, &options.cg)?;
         let max_update = voltages
             .iter()
             .zip(&next)
@@ -162,6 +151,24 @@ fn solve_newton(circuit: &Circuit, options: &SolveOptions) -> Result<DcSolution,
         iterations: options.newton_max_iterations,
         last_update: f64::NAN,
     })
+}
+
+/// One cold linear solve on behalf of [`solve_dc`], a Newton iteration or
+/// a transient step, counted under `circuit.solve.*` by engine. Returns
+/// the full node-voltage vector.
+pub(crate) fn solve_step(
+    system: &NodalSystem,
+    volts: &[f64],
+    cg: &CgOptions,
+) -> Result<Vec<f64>, CircuitError> {
+    match system.engine_kind() {
+        EngineKind::Dense => LINEAR_DENSE.inc(),
+        EngineKind::SparseDirect => LINEAR_SPARSE.inc(),
+        EngineKind::Iterative => LINEAR_CG.inc(),
+        EngineKind::FullMna => LINEAR_FULL_MNA.inc(),
+        EngineKind::Empty => {}
+    }
+    Ok(system.solve(volts, None, cg)?.voltages)
 }
 
 /// Produces the per-element linearization. `operating_point` supplies node
@@ -201,315 +208,6 @@ pub(crate) fn linearize(
             Element::Capacitor { .. } => None,
         })
         .collect()
-}
-
-/// Classification of the voltage sources in a circuit.
-struct SourceInfo {
-    /// node → fixed voltage, for grounded sources.
-    driven: HashMap<usize, f64>,
-    /// `true` if every source has one terminal at ground.
-    all_grounded: bool,
-}
-
-fn classify_sources(circuit: &Circuit) -> Result<SourceInfo, CircuitError> {
-    let mut driven = HashMap::new();
-    let mut all_grounded = true;
-    for element in circuit.elements() {
-        if let Element::VoltageSource {
-            npos,
-            nneg,
-            voltage,
-        } = element
-        {
-            let (node, value) = if *nneg == Circuit::GROUND {
-                (*npos, voltage.volts())
-            } else if *npos == Circuit::GROUND {
-                (*nneg, -voltage.volts())
-            } else {
-                all_grounded = false;
-                continue;
-            };
-            if let Some(existing) = driven.insert(node, value) {
-                if existing != value {
-                    return Err(CircuitError::InvalidElement {
-                        reason: format!(
-                            "node {node} driven to both {existing} V and {value} V"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    Ok(SourceInfo {
-        driven,
-        all_grounded,
-    })
-}
-
-/// Solves the linearized circuit, returning the full node-voltage vector.
-pub(crate) fn solve_linear(
-    circuit: &Circuit,
-    lin: &[Option<Linearized>],
-    options: &SolveOptions,
-) -> Result<Vec<f64>, CircuitError> {
-    let sources = classify_sources(circuit)?;
-    let reduced_ok = sources.all_grounded;
-
-    match options.method {
-        Method::Cg => {
-            if !reduced_ok {
-                return Err(CircuitError::InvalidElement {
-                    reason: "conjugate-gradient path requires all voltage sources grounded"
-                        .into(),
-                });
-            }
-            solve_reduced(circuit, lin, &sources, options, LinearEngine::Cg)
-        }
-        Method::DenseLu => {
-            if reduced_ok {
-                solve_reduced(circuit, lin, &sources, options, LinearEngine::Dense)
-            } else {
-                solve_full_mna(circuit, lin)
-            }
-        }
-        Method::SparseLu => {
-            if reduced_ok {
-                solve_reduced(circuit, lin, &sources, options, LinearEngine::Sparse)
-            } else {
-                solve_full_mna(circuit, lin)
-            }
-        }
-        Method::Auto => {
-            if reduced_ok {
-                let unknowns = circuit.node_count() - 1 - sources.driven.len();
-                solve_reduced(circuit, lin, &sources, options, auto_engine(unknowns))
-            } else {
-                solve_full_mna(circuit, lin)
-            }
-        }
-    }
-}
-
-/// Reduced nodal solve: unknowns are all nodes that are neither ground nor
-/// driven; the system is SPD.
-fn solve_reduced(
-    circuit: &Circuit,
-    lin: &[Option<Linearized>],
-    sources: &SourceInfo,
-    options: &SolveOptions,
-    engine: LinearEngine,
-) -> Result<Vec<f64>, CircuitError> {
-    let n_nodes = circuit.node_count();
-    // Map node → unknown index.
-    let mut index = vec![usize::MAX; n_nodes];
-    let mut unknowns = 0usize;
-    for (node, slot) in index.iter_mut().enumerate().skip(1) {
-        if !sources.driven.contains_key(&node) {
-            *slot = unknowns;
-            unknowns += 1;
-        }
-    }
-
-    let fixed_voltage = |node: usize| -> Option<f64> {
-        if node == Circuit::GROUND {
-            Some(0.0)
-        } else {
-            sources.driven.get(&node).copied()
-        }
-    };
-
-    let mut triplets = TripletMatrix::new(unknowns, unknowns);
-    let mut b = vec![0.0; unknowns];
-
-    for (idx, element) in circuit.elements().iter().enumerate() {
-        match element {
-            Element::Resistor { n1, n2, .. }
-            | Element::Memristor { n1, n2, .. }
-            | Element::Capacitor { n1, n2, .. } => {
-                // Capacitors only carry a companion in transient mode.
-                let Some(Linearized { g, ieq }) = lin[idx] else {
-                    continue;
-                };
-                stamp_conductance(
-                    &mut triplets,
-                    &mut b,
-                    &index,
-                    &fixed_voltage,
-                    *n1,
-                    *n2,
-                    g,
-                    ieq,
-                );
-            }
-            Element::CurrentSource { from, to, current } => {
-                let i = current.amperes();
-                if index[*from] != usize::MAX {
-                    b[index[*from]] -= i;
-                }
-                if index[*to] != usize::MAX {
-                    b[index[*to]] += i;
-                }
-            }
-            Element::VoltageSource { .. } => {} // encoded via `driven`
-        }
-    }
-
-    let x = if unknowns == 0 {
-        Vec::new()
-    } else {
-        match engine {
-            LinearEngine::Dense => {
-                LINEAR_DENSE.inc();
-                let csr = triplets.to_csr();
-                DenseMatrix::from_rows(&csr.to_dense()).solve(&b)?
-            }
-            LinearEngine::Sparse => {
-                LINEAR_SPARSE.inc();
-                let csc = triplets.to_csc();
-                crate::klu::SparseLu::factor(&csc)?.solve(&b)
-            }
-            LinearEngine::Cg => {
-                LINEAR_CG.inc();
-                let csr = triplets.to_csr();
-                solve_cg(&csr, &b, &options.cg)?.0
-            }
-        }
-    };
-
-    // Reassemble the full voltage vector.
-    let mut voltages = vec![0.0; n_nodes];
-    for node in 1..n_nodes {
-        voltages[node] = if let Some(v) = fixed_voltage(node) {
-            v
-        } else {
-            x[index[node]]
-        };
-    }
-    Ok(voltages)
-}
-
-/// Stamps one conductive branch with equivalent current into the reduced
-/// system.
-#[allow(clippy::too_many_arguments)]
-fn stamp_conductance(
-    triplets: &mut TripletMatrix,
-    b: &mut [f64],
-    index: &[usize],
-    fixed_voltage: &dyn Fn(usize) -> Option<f64>,
-    n1: usize,
-    n2: usize,
-    g: f64,
-    ieq: f64,
-) {
-    let i1 = index[n1];
-    let i2 = index[n2];
-    // KCL at n1: +g(v1 − v2) + ieq ; at n2: −g(v1 − v2) − ieq.
-    if i1 != usize::MAX {
-        triplets.add(i1, i1, g);
-        match fixed_voltage(n2) {
-            Some(v2) => b[i1] += g * v2,
-            None => triplets.add(i1, i2, -g),
-        }
-        b[i1] -= ieq;
-    }
-    if i2 != usize::MAX {
-        triplets.add(i2, i2, g);
-        match fixed_voltage(n1) {
-            Some(v1) => b[i2] += g * v1,
-            None => triplets.add(i2, i1, -g),
-        }
-        b[i2] += ieq;
-    }
-}
-
-/// Full modified nodal analysis with explicit source branch currents
-/// (handles floating sources; dense LU).
-fn solve_full_mna(
-    circuit: &Circuit,
-    lin: &[Option<Linearized>],
-) -> Result<Vec<f64>, CircuitError> {
-    LINEAR_FULL_MNA.inc();
-    let n_nodes = circuit.node_count();
-    let n_v = n_nodes - 1; // unknown node voltages (ground excluded)
-    let sources: Vec<usize> = circuit
-        .elements()
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| matches!(e, Element::VoltageSource { .. }))
-        .map(|(i, _)| i)
-        .collect();
-    let n = n_v + sources.len();
-    let mut a = DenseMatrix::zeros(n);
-    let mut b = vec![0.0; n];
-
-    // node id → matrix row (ground has none).
-    let row = |node: usize| -> Option<usize> {
-        if node == Circuit::GROUND {
-            None
-        } else {
-            Some(node - 1)
-        }
-    };
-
-    for (idx, element) in circuit.elements().iter().enumerate() {
-        match element {
-            Element::Resistor { n1, n2, .. }
-            | Element::Memristor { n1, n2, .. }
-            | Element::Capacitor { n1, n2, .. } => {
-                let Some(Linearized { g, ieq }) = lin[idx] else {
-                    continue;
-                };
-                if let Some(r1) = row(*n1) {
-                    a[(r1, r1)] += g;
-                    if let Some(r2) = row(*n2) {
-                        a[(r1, r2)] -= g;
-                    }
-                    b[r1] -= ieq;
-                }
-                if let Some(r2) = row(*n2) {
-                    a[(r2, r2)] += g;
-                    if let Some(r1) = row(*n1) {
-                        a[(r2, r1)] -= g;
-                    }
-                    b[r2] += ieq;
-                }
-            }
-            Element::CurrentSource { from, to, current } => {
-                if let Some(r) = row(*from) {
-                    b[r] -= current.amperes();
-                }
-                if let Some(r) = row(*to) {
-                    b[r] += current.amperes();
-                }
-            }
-            Element::VoltageSource { .. } => {}
-        }
-    }
-
-    for (k, &src_idx) in sources.iter().enumerate() {
-        if let Element::VoltageSource {
-            npos,
-            nneg,
-            voltage,
-        } = &circuit.elements()[src_idx]
-        {
-            let col = n_v + k;
-            if let Some(r) = row(*npos) {
-                a[(r, col)] += 1.0;
-                a[(col, r)] += 1.0;
-            }
-            if let Some(r) = row(*nneg) {
-                a[(r, col)] -= 1.0;
-                a[(col, r)] -= 1.0;
-            }
-            b[col] = voltage.volts();
-        }
-    }
-
-    let x = a.solve(&b)?;
-    let mut voltages = vec![0.0; n_nodes];
-    voltages[1..n_nodes].copy_from_slice(&x[..n_v]);
-    Ok(voltages)
 }
 
 /// Computes per-element branch currents and wraps the solution.

@@ -12,11 +12,14 @@
 //!
 //! and the resulting resistive network is solved with the DC machinery —
 //! including the per-step Newton loop when non-linear memristors are
-//! present. Backward Euler is unconditionally stable (L-stable), the right
-//! choice for the stiff RC meshes of crossbars.
+//! present. One nodal system serves the whole run: each step re-stamps it,
+//! so the sparse engine analyzes the mesh once and refactors per step.
+//! Backward Euler is unconditionally stable (L-stable), the right choice
+//! for the stiff RC meshes of crossbars.
 
 use crate::error::CircuitError;
 use crate::mna::{non_positive, Circuit, Element, NodeId};
+use crate::nodal::{source_volts, NodalSystem};
 use crate::solve::{self, Linearized, SolveOptions};
 use mnsim_tech::units::Time;
 
@@ -142,7 +145,9 @@ pub fn solve_transient(
     voltages.push(vec![0.0; n]);
 
     let nonlinear = circuit.is_nonlinear();
+    let volts = source_volts(circuit);
     let mut prev = vec![0.0; n];
+    let mut system: Option<NodalSystem> = None;
 
     for step in 1..=steps {
         // Newton loop (a single pass suffices for linear circuits).
@@ -154,7 +159,14 @@ pub fn solve_transient(
         };
         for _ in 0..passes {
             let lin = linearize_with_companions(circuit, &iterate, &prev, dt, nonlinear);
-            iterate = solve::solve_linear(circuit, &lin, &options.dc)?;
+            let stamped = match system.take() {
+                Some(mut held) => {
+                    held.restamp(circuit, &lin)?;
+                    held
+                }
+                None => NodalSystem::build(circuit, &lin, options.dc.method)?,
+            };
+            iterate = solve::solve_step(system.insert(stamped), &volts, &options.dc.cg)?;
         }
         prev = iterate;
         times.push(step as f64 * dt);

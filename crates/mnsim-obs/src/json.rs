@@ -87,16 +87,22 @@ impl JsonValue {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let one hostile
+/// line overflow the stack, which aborts the process instead of erroring.
+const MAX_DEPTH: usize = 128;
+
 /// Parses exactly one well-formed JSON value into a [`JsonValue`].
 ///
 /// # Errors
 ///
-/// Returns a message naming the byte offset of the first violation.
+/// Returns a message naming the byte offset of the first violation,
+/// including arrays and objects nested deeper than 128 levels.
 pub fn parse_json(input: &str) -> Result<JsonValue, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
     skip_ws(bytes, &mut pos);
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -119,10 +125,15 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses one value inside `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(JsonValue::String),
         Some(b't') => parse_literal(bytes, pos, b"true").map(|()| JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, b"false").map(|()| JsonValue::Bool(false)),
@@ -133,7 +144,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // '{'
     skip_ws(bytes, pos);
     let mut members = Vec::new();
@@ -153,7 +164,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         }
         *pos += 1;
         skip_ws(bytes, pos);
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -167,7 +178,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // '['
     skip_ws(bytes, pos);
     let mut items = Vec::new();
@@ -177,7 +188,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
     loop {
         skip_ws(bytes, pos);
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -421,5 +432,18 @@ mod tests {
         ] {
             assert!(validate_json(doc).is_err(), "accepted: {doc}");
         }
+    }
+
+    #[test]
+    fn nesting_depth_is_capped_with_a_byte_offset() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_json(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        // Far past the cap: a typed error, not a stack overflow.
+        let err = parse_json(&nested(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let objects = format!("{}1{}", "{\"a\":".repeat(100_000), "}".repeat(100_000));
+        assert!(parse_json(&objects).unwrap_err().contains("nesting deeper than"));
     }
 }

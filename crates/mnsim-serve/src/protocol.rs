@@ -634,6 +634,16 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_malformed_not_a_crash() {
+        // ~200 KB of `[[[…]]]`: the recursive parser must stop at its depth
+        // cap with an error rather than overflow the worker's stack.
+        let line = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        let err = parse_request(&line).unwrap_err();
+        assert_eq!(err.code, ErrorCode::Malformed);
+        assert!(err.message.contains("nesting deeper than"), "{}", err.message);
+    }
+
+    #[test]
     fn error_line_embeds_config_errors() {
         let err = WireError {
             code: ErrorCode::Config,

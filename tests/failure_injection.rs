@@ -71,8 +71,7 @@ fn cg_iteration_starvation_is_typed() {
     }
     let options = CgOptions {
         tolerance: 1e-14,
-        // The deprecated numeric form still converts (0 would mean auto).
-        max_iterations: 1.into(),
+        max_iterations: IterationCap::Limit(1),
         ..CgOptions::default()
     };
     assert!(matches!(

@@ -5,6 +5,9 @@
 //! to a fresh factorization, singular systems must surface as typed errors
 //! (never NaN or a hang), and fault campaigns must actually hit the
 //! refactor fast path per trial.
+//!
+//! Every test holds the [`obs::session`] lock while it solves, so the exact
+//! counter assertions cannot include another test's factorizations.
 
 use mnsim::circuit::crossbar::CrossbarSpec;
 use mnsim::circuit::solve::{solve_dc, Method, SolveOptions};
@@ -83,6 +86,7 @@ proptest! {
         cols in 1usize..7,
         seed in 0u64..1_000_000,
     ) {
+        let _session = obs::session();
         let built = random_crossbar(rows, cols, seed).build().expect("valid crossbar");
         let solve_with = |method: Method| {
             let options = SolveOptions { method, ..SolveOptions::default() };
@@ -108,6 +112,7 @@ proptest! {
         n in 2usize..48,
         seed in 0u64..1_000_000,
     ) {
+        let _session = obs::session();
         let a = random_sdd_csc(n, seed);
         let analysis = analyze(&a).expect("SDD matrix is structurally nonsingular");
         prop_assert_eq!(analysis.n(), n);
@@ -161,6 +166,7 @@ proptest! {
         n in 2usize..40,
         seed in 0u64..1_000_000,
     ) {
+        let _session = obs::session();
         let a = random_sdd_csc(n, seed);
         // Same pattern, scaled values: what a fault overlay or reprogram
         // does to the reduced system.

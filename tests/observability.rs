@@ -7,7 +7,9 @@
 //! registry is never polluted by a concurrently running test.
 
 use mnsim::circuit::cg::{CgOptions, IterationCap};
-use mnsim::circuit::solve::{Method, SolveOptions};
+use mnsim::circuit::crossbar::CrossbarSpec;
+use mnsim::circuit::solve::{solve_dc, Method, SolveOptions};
+use mnsim::circuit::transient::{solve_transient, TransientOptions};
 use mnsim::circuit::{solve_robust, Circuit, RecoveryStage, RobustOptions};
 use mnsim::core::config::Config;
 use mnsim::core::dse::{explore, explore_with, Constraints, DesignSpace};
@@ -17,7 +19,8 @@ use mnsim::core::simulate::simulate;
 use mnsim::obs;
 use mnsim::tech::fault::FaultRates;
 use mnsim::tech::interconnect::InterconnectNode;
-use mnsim::tech::units::{Resistance, Voltage};
+use mnsim::tech::memristor::IvModel;
+use mnsim::tech::units::{Capacitance, Resistance, Time, Voltage};
 
 #[test]
 fn clean_fault_campaign_records_no_fallbacks() {
@@ -52,6 +55,53 @@ fn clean_fault_campaign_records_no_fallbacks() {
     assert_eq!(snap.counter("circuit.batch.cache_hits"), 2);
     // No CG anywhere on the clean path.
     assert_eq!(snap.counter("circuit.cg.solves"), 0);
+}
+
+/// An 8×8 crossbar: 128 unknowns, past the 96-unknown dense cutoff, so
+/// `Method::Auto` solves it on the sparse direct engine.
+fn sparse_crossbar(iv: IvModel) -> CrossbarSpec {
+    let mut spec = CrossbarSpec::uniform(
+        8,
+        8,
+        Resistance::from_kilo_ohms(10.0),
+        Resistance::from_ohms(2.0),
+        Resistance::from_ohms(500.0),
+        Voltage::from_volts(1.0),
+    );
+    spec.iv = iv;
+    spec
+}
+
+#[test]
+fn linear_transient_analyzes_its_mesh_once() {
+    // Every step re-stamps one nodal system held for the whole run, so the
+    // RC mesh is analyzed once, not once per step.
+    let mut xbar = sparse_crossbar(IvModel::Linear).build().unwrap();
+    xbar.add_node_capacitance(Capacitance::from_femtofarads(10.0))
+        .unwrap();
+    let options = TransientOptions::step_response(Time::from_nanoseconds(5.0), 400);
+
+    let session = obs::session();
+    solve_transient(xbar.circuit(), &options).unwrap();
+    let snap = session.snapshot();
+    assert_eq!(snap.counter("circuit.solve.sparse_lu"), 400);
+    assert_eq!(snap.counter("solver.klu.analyses"), 1);
+}
+
+#[test]
+fn sinh_dc_solve_analyzes_once_across_newton_iterations() {
+    // Each Newton iteration re-stamps the nodal system `solve_dc` built,
+    // refreshing the sparse factorization instead of re-analyzing it.
+    let xbar = sparse_crossbar(IvModel::Sinh { alpha: 2.0 })
+        .build()
+        .unwrap();
+
+    let session = obs::session();
+    solve_dc(xbar.circuit(), &SolveOptions::default()).unwrap();
+    let snap = session.snapshot();
+    assert_eq!(snap.counter("circuit.solve.dc_solves"), 1);
+    assert!(snap.counter("circuit.solve.newton_iterations") >= 2);
+    assert_eq!(snap.counter("solver.klu.analyses"), 1);
 }
 
 #[test]
@@ -172,14 +222,15 @@ fn parallel_dse_error_still_evaluates_every_point() {
         explore_with(&base, &space, &Constraints::default(), &ExecOptions::with_threads(2))
             .unwrap_err();
     let snap = session.snapshot();
-    drop(session);
 
     // All four combinations were attempted despite the mid-chunk failure.
     assert_eq!(snap.counter("core.dse.points"), 4);
     assert_eq!(snap.counter("core.dse.errors"), 1);
 
-    // And the reported error is the one serial traversal reports.
+    // And the reported error is the one serial traversal reports. The
+    // serial run is instrumented too, so it stays under the session lock.
     let serial_err = explore(&base, &space, &Constraints::default()).unwrap_err();
+    drop(session);
     assert_eq!(err.to_string(), serial_err.to_string());
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Three contracts, each enforced here:
 //!
-//! 1. **Equivalence** — [`solve_dc_batch`] over a
-//!    [`PreparedSystem`] produces the same node voltages as per-input
+//! 1. **Equivalence** — [`PreparedSystem::solve_batch`] produces the
+//!    same node voltages as per-input
 //!    [`solve_dc`] on a re-driven circuit: bit-identical with a cold start
 //!    (the batch replays the exact serial assembly and arithmetic), and
 //!    within `1e-12` relative tolerance with warm-started CG. Randomized
@@ -23,9 +23,13 @@
 //! 4. **Dispatch** — under [`Method::Auto`] the engine choice is a pure
 //!    function of structure size: dense below 96 unknowns, sparse-direct
 //!    above, checked through [`PreparedSystem::engine_kind`].
+//!
+//! Every test holds the [`obs::session`] lock while it solves, so the
+//! counter deltas the warm-start test reads cannot include another test's
+//! solves.
 
 use mnsim::circuit::batch::{
-    prepare_or_reuse, solve_dc_batch, BatchOptions, EngineKind, PreparedSystem, Rhs, WarmStart,
+    prepare_or_reuse, BatchOptions, EngineKind, PreparedSystem, Rhs, WarmStart,
 };
 use mnsim::circuit::cg::CgOptions;
 use mnsim::circuit::crossbar::CrossbarSpec;
@@ -70,6 +74,7 @@ fn check_crossbar_equivalence(
     warm_start: WarmStart,
     rel_tol: f64,
 ) {
+    let _session = obs::session();
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut config = Config::fully_connected_mlp(&[8, 8]).expect("static dims");
     config.crossbar_size = 8;
@@ -125,7 +130,7 @@ fn check_crossbar_equivalence(
         )
         .expect("linear crossbar prepares");
         let batched =
-            solve_dc_batch(&mut prepared, built.circuit(), &batch).expect("batch solves");
+            prepared.solve_batch(built.circuit(), &batch).expect("batch solves");
         assert_eq!(batched.len(), batch_size);
 
         for (k, x) in inputs.iter().enumerate() {
@@ -258,7 +263,7 @@ fn warm_start_iteration_counts_drop_below_cold_on_correlated_batch() {
         )
         .unwrap();
         assert!(prepared.uses_cg(), "pinned Method::Cg must take the CG path");
-        solve_dc_batch(&mut prepared, built.circuit(), &batch).unwrap();
+        prepared.solve_batch(built.circuit(), &batch).unwrap();
         prepared.last_cg_iterations().to_vec()
     };
 
@@ -300,6 +305,7 @@ fn orthogonal_batch_converges_within_cg_caps() {
     // the previous solution is a poor guess. Warm starts must still land
     // inside the default CgOptions caps — never worse than cold except for
     // the bounded retry — and agree with the serial answers.
+    let _session = obs::session();
     let built = cg_path_crossbar().build().unwrap();
     let rows = built.spec().rows;
     let batch: Vec<Rhs> = (0..rows)
@@ -324,7 +330,7 @@ fn orthogonal_batch_converges_within_cg_caps() {
             },
         )
         .unwrap();
-        let solutions = solve_dc_batch(&mut prepared, built.circuit(), &batch).unwrap();
+        let solutions = prepared.solve_batch(built.circuit(), &batch).unwrap();
         // Resolve the default cap against the system size (2·rows² unknowns).
         let cap = CgOptions::default().max_iterations.resolve(2 * rows * rows);
         for (k, &iterations) in prepared.last_cg_iterations().iter().enumerate() {
@@ -362,6 +368,7 @@ fn perturbed(spec: &CrossbarSpec) -> CrossbarSpec {
 
 #[test]
 fn stale_prepared_system_is_a_typed_error_on_every_engine() {
+    let _session = obs::session();
     let dense_spec = CrossbarSpec::uniform(
         4,
         4,
@@ -397,7 +404,7 @@ fn stale_prepared_system_is_a_typed_error_on_every_engine() {
         let rhs = changed
             .input_rhs(&vec![Voltage::from_volts(1.0); spec.rows])
             .unwrap();
-        let result = solve_dc_batch(&mut prepared, changed.circuit(), std::slice::from_ref(&rhs));
+        let result = prepared.solve_batch(changed.circuit(), std::slice::from_ref(&rhs));
         match result {
             Err(CircuitError::StalePreparedSystem { expected, actual }) => {
                 assert_ne!(expected, actual);
@@ -413,12 +420,13 @@ fn stale_prepared_system_is_a_typed_error_on_every_engine() {
             .with_source_voltages(&vec![Voltage::from_volts(0.25); spec.rows])
             .unwrap();
         assert!(prepared.matches(&redriven));
-        assert!(solve_dc_batch(&mut prepared, &redriven, &[rhs]).is_ok());
+        assert!(prepared.solve_batch(&redriven, &[rhs]).is_ok());
     }
 }
 
 #[test]
 fn prepare_or_reuse_never_solves_stale() {
+    let _session = obs::session();
     let spec = cg_path_crossbar();
     let options = BatchOptions::default();
     let mut slot: Option<PreparedSystem> = None;
@@ -454,6 +462,7 @@ fn prepare_or_reuse_never_solves_stale() {
 /// 96 unknowns (`2·rows·cols` for a dual-rail crossbar).
 #[test]
 fn auto_dispatch_is_deterministic_in_structure_size() {
+    let _session = obs::session();
     let spec_for = |rows: usize, cols: usize| {
         CrossbarSpec::uniform(
             rows,
