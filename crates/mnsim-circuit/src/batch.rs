@@ -71,7 +71,7 @@ static BATCH_WARM_ITERS_SAVED: obs::Counter =
 static BATCH_SPARSE: obs::Counter = obs::Counter::new("circuit.batch.sparse_backsolves");
 /// Value-only refreshes through [`prepare_or_reuse`]: the cached sparse
 /// factorization was updated in place via
-/// [`SparseLu::refresh`](crate::klu::SparseLu::refresh) instead of
+/// [`SparseLdl::refactor`](crate::ldl::SparseLdl::refactor) instead of
 /// rebuilding the whole prepared system.
 static VALUE_REFRESHES: obs::Counter = obs::Counter::new("circuit.batch.value_refreshes");
 
@@ -137,7 +137,7 @@ impl Rhs {
 pub enum EngineKind {
     /// Reduced system with a cached dense LU.
     Dense,
-    /// Reduced system with a cached sparse direct LU ([`crate::klu`]).
+    /// Reduced system with a cached sparse LDLᵀ ([`crate::ldl`]).
     SparseDirect,
     /// Reduced system solved iteratively (warm-started CG).
     Iterative,
@@ -275,8 +275,8 @@ impl PreparedSystem {
     /// Attempts to update this system in place for a circuit whose element
     /// *values* changed but whose structure did not (a fault overlay or
     /// variation resample). Only the sparse-direct engine supports this: the
-    /// cached symbolic analysis and elimination program are replayed on the
-    /// new values via [`SparseLu::refresh`](crate::klu::SparseLu::refresh),
+    /// cached symbolic analysis is reused and only the numeric pass runs on
+    /// the new values ([`SparseLdl::refactor`](crate::ldl::SparseLdl::refactor)),
     /// which is much cheaper than a full rebuild. Linear and sinh circuits
     /// alike qualify.
     ///
@@ -286,9 +286,9 @@ impl PreparedSystem {
     ///
     /// # Errors
     ///
-    /// Propagates solver failures from the fallback factorization inside
-    /// [`SparseLu::refresh`](crate::klu::SparseLu::refresh) (e.g. the new
-    /// values made the matrix numerically singular).
+    /// Propagates solver failures from
+    /// [`SparseLdl::refactor`](crate::ldl::SparseLdl::refactor) (e.g. the
+    /// new values made the matrix singular).
     pub fn try_value_refresh(&mut self, circuit: &Circuit) -> Result<bool, CircuitError> {
         if !self.matches_structure(circuit) || self.engine_kind() != EngineKind::SparseDirect {
             return Ok(false);
@@ -457,8 +457,8 @@ impl PreparedSystem {
 ///
 /// This is the invalidation idiom for call sites whose conductances change
 /// between batches (fault overlays, variation resamples): a value-only
-/// change on the sparse-direct engine replays the cached elimination
-/// program ([`SparseLu::refresh`](crate::klu::SparseLu::refresh) — the
+/// change on the sparse-direct engine refactors on the cached analysis
+/// ([`SparseLdl::refactor`](crate::ldl::SparseLdl::refactor) — the
 /// `solver.klu.refactor` fast path),
 /// and anything else drops the stale system and rebuilds.
 ///

@@ -10,11 +10,12 @@
 //! * [`solve`] — DC operating-point analysis with Newton-Raphson for
 //!   non-linear memristor cells, on the one nodal-system assembly and
 //!   engine dispatch that the batch and transient solvers share,
-//! * [`klu`] — KLU-style sparse direct solver (BTF + AMD + Gilbert–Peierls
-//!   LU) with a cached symbolic analysis and a numeric-only `refactor()`
-//!   fast path for same-pattern value updates,
+//! * [`ldl`] — sparse LDLᵀ for the symmetric positive-definite reduced
+//!   nodal system (AMD ordering + elimination tree + up-looking numeric
+//!   pass) with a cached symbolic analysis and a numeric-only `refactor()`
+//!   for same-pattern value updates,
 //! * [`batch`] — multi-RHS solving over a [`batch::PreparedSystem`] that
-//!   caches the assembled system (dense LU below 96 unknowns, sparse LU
+//!   caches the assembled system (dense LU below 96 unknowns, sparse LDLᵀ
 //!   above) per conductance structure and warm-starts CG across correlated
 //!   inputs,
 //! * [`crossbar`] — memristor-crossbar netlist construction matching the
@@ -22,8 +23,8 @@
 //!   resistors), with optional hard-defect overlays (stuck cells, broken
 //!   lines),
 //! * [`recovery`] — a fault-tolerant solve ladder (`solve_robust`) that
-//!   escalates CG → relaxed CG → dense LU and reports how the answer was
-//!   obtained,
+//!   escalates CG → relaxed CG → sparse LDLᵀ → dense LU and reports how
+//!   the answer was obtained,
 //! * [`transient`] — backward-Euler transient analysis (RC settling),
 //! * [`netlist`] — SPICE netlist export/import.
 //!
@@ -65,7 +66,7 @@ pub mod cg;
 pub mod crossbar;
 pub mod dense;
 pub mod error;
-pub mod klu;
+pub mod ldl;
 pub mod mna;
 pub mod netlist;
 mod nodal;
@@ -77,7 +78,7 @@ pub mod transient;
 pub use batch::{prepare_or_reuse, BatchOptions, PreparedSystem, Rhs, WarmStart};
 pub use crossbar::{CrossbarCircuit, CrossbarSpec, FaultOverlay};
 pub use error::CircuitError;
-pub use klu::{analyze, RefactorError, SparseLu, SymbolicAnalysis};
+pub use ldl::{analyze, SparseLdl, SymbolicAnalysis};
 pub use mna::{Circuit, DcSolution, Element, NodeId};
 pub use cg::{CgOptions, IterationCap};
 pub use recovery::{

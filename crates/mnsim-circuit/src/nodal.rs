@@ -9,12 +9,15 @@
 //! * **Build** classifies the voltage sources, numbers the unknowns, stamps
 //!   the linearized elements and attaches the engine [`Method`] selects.
 //!   Grounded sources give the reduced SPD system over the undriven nodes
-//!   (dense LU, sparse direct LU or CG); floating sources give full
-//!   modified nodal analysis with source branch currents (dense LU).
+//!   (dense LU, sparse LDLᵀ or CG); floating sources give full modified
+//!   nodal analysis with source branch currents (dense LU).
 //! * **Re-stamp** replaces the element values of the same structure: the
-//!   sparse engine replays its factorization through [`SparseLu::refresh`]
-//!   (a pattern drift re-analyzes), dense and full MNA re-factor, CG swaps
-//!   its matrix. A Newton iteration or a transient step is a re-stamp.
+//!   sparse engine refactors on its cached analysis
+//!   ([`SparseLdl::refactor`]; a pattern drift re-analyzes), dense and full
+//!   MNA re-factor, CG swaps its matrix. A Newton iteration is a re-stamp.
+//! * **Re-stamp the RHS** re-records only the right-hand-side plan, for
+//!   linearizations whose conductances are unchanged — the steps of a
+//!   linear transient, where only the capacitor companion currents move.
 //! * **Solve** replays the right-hand-side plan for one set of source
 //!   voltages and back-solves, so re-driving the sources never touches the
 //!   matrix.
@@ -23,10 +26,11 @@ use crate::batch::EngineKind;
 use crate::cg::{solve_cg_warm, CgOptions};
 use crate::dense::{DenseMatrix, LuFactors};
 use crate::error::CircuitError;
-use crate::klu::SparseLu;
+use crate::ldl::SparseLdl;
 use crate::mna::{Circuit, Element};
 use crate::solve::{Linearized, Method};
 use crate::sparse::{CsrMatrix, TripletMatrix};
+use mnsim_obs::trace::{self, Level};
 
 /// Number of unknowns below which `Method::Auto` prefers the dense LU.
 const DENSE_CUTOFF: usize = 96;
@@ -55,8 +59,8 @@ enum BOp {
 enum Engine {
     /// Dense LU with partial pivoting.
     Dense(LuFactors),
-    /// KLU-style sparse direct LU ([`crate::klu`]).
-    Sparse(SparseLu),
+    /// Sparse LDLᵀ ([`crate::ldl`]).
+    Sparse(SparseLdl),
     /// Jacobi-preconditioned conjugate gradients over the matrix.
     Cg(CsrMatrix),
     /// No unknowns at all (every node driven or ground).
@@ -141,20 +145,33 @@ impl NodalSystem {
                     unknowns += 1;
                 }
             }
-            let triplets = stamp_reduced(circuit, lin, &index, unknowns, &mut ops);
-            let engine = if unknowns == 0 {
-                Engine::Empty
-            } else {
-                match method {
-                    Method::DenseLu => Engine::Dense(dense_lu(&triplets)?),
-                    Method::SparseLu => Engine::Sparse(SparseLu::factor(&triplets.to_csc())?),
-                    Method::Cg => Engine::Cg(triplets.to_csr()),
-                    Method::Auto if unknowns < DENSE_CUTOFF => Engine::Dense(dense_lu(&triplets)?),
-                    Method::Auto if unknowns < SPARSE_CUTOFF => {
-                        Engine::Sparse(SparseLu::factor(&triplets.to_csc())?)
-                    }
-                    Method::Auto => Engine::Cg(triplets.to_csr()),
-                }
+            let method = match method {
+                Method::Auto if unknowns < DENSE_CUTOFF => Method::DenseLu,
+                Method::Auto if unknowns < SPARSE_CUTOFF => Method::SparseLu,
+                Method::Auto => Method::Cg,
+                other => other,
+            };
+            let engine = match method {
+                _ if unknowns == 0 => Engine::Empty,
+                Method::DenseLu => Engine::Dense(
+                    assemble(circuit, lin, &index, unknowns, &mut ops, dense_matrix).factor()?,
+                ),
+                Method::Cg => Engine::Cg(assemble(
+                    circuit,
+                    lin,
+                    &index,
+                    unknowns,
+                    &mut ops,
+                    TripletMatrix::to_csr,
+                )),
+                _ => Engine::Sparse(SparseLdl::factor(&assemble(
+                    circuit,
+                    lin,
+                    &index,
+                    unknowns,
+                    &mut ops,
+                    TripletMatrix::to_csc,
+                ))?),
             };
             Form::Reduced {
                 index,
@@ -169,7 +186,7 @@ impl NodalSystem {
             }
             Form::FullMna {
                 n_v: node_count - 1,
-                lu: stamp_full_mna(circuit, lin, &mut ops).factor()?,
+                lu: assemble_full_mna(circuit, lin, &mut ops).factor()?,
             }
         };
 
@@ -193,32 +210,47 @@ impl NodalSystem {
         circuit: &Circuit,
         lin: &[Option<Linearized>],
     ) -> Result<(), CircuitError> {
+        let ops = &mut self.ops;
         match &mut self.form {
             Form::Reduced {
                 index,
                 unknowns,
                 engine,
             } => {
-                let triplets = stamp_reduced(circuit, lin, index, *unknowns, &mut self.ops);
+                let n = *unknowns;
                 match engine {
-                    Engine::Dense(lu) => *lu = dense_lu(&triplets)?,
-                    Engine::Sparse(lu) => {
-                        let csc = triplets.to_csc();
-                        if lu.symbolic().compatible_with(&csc) {
-                            lu.refresh(&csc)?;
+                    Engine::Dense(lu) => {
+                        *lu = assemble(circuit, lin, index, n, ops, dense_matrix).factor()?;
+                    }
+                    Engine::Sparse(ldl) => {
+                        let csc = assemble(circuit, lin, index, n, ops, TripletMatrix::to_csc);
+                        if ldl.symbolic().compatible_with(&csc) {
+                            ldl.refactor(&csc)?;
                         } else {
-                            *lu = SparseLu::factor(&csc)?;
+                            *ldl = SparseLdl::factor(&csc)?;
                         }
                     }
-                    Engine::Cg(csr) => *csr = triplets.to_csr(),
+                    Engine::Cg(csr) => {
+                        *csr = assemble(circuit, lin, index, n, ops, TripletMatrix::to_csr);
+                    }
                     Engine::Empty => {}
                 }
             }
-            Form::FullMna { lu, .. } => {
-                *lu = stamp_full_mna(circuit, lin, &mut self.ops).factor()?;
-            }
+            Form::FullMna { lu, .. } => *lu = assemble_full_mna(circuit, lin, ops).factor()?,
         }
         Ok(())
+    }
+
+    /// Re-records only the right-hand-side plan for `lin`, keeping the
+    /// stamped matrix and its factorization. `lin` must carry the
+    /// conductances of the current stamps and may differ only in its
+    /// equivalent currents: the steps of a linear transient, whose
+    /// capacitor companion currents are the only values that move.
+    pub(crate) fn restamp_rhs(&mut self, circuit: &Circuit, lin: &[Option<Linearized>]) {
+        match &self.form {
+            Form::Reduced { index, .. } => stamp_reduced(circuit, lin, index, &mut self.ops, None),
+            Form::FullMna { .. } => stamp_full_mna(circuit, lin, &mut self.ops, None),
+        }
     }
 
     /// Solves for one set of source voltages (`volts`, element order).
@@ -275,7 +307,7 @@ impl NodalSystem {
                 }
                 let (x, cg_iterations) = match engine {
                     Engine::Dense(lu) => (lu.solve(&b)?, 0),
-                    Engine::Sparse(lu) => (lu.solve(&b), 0),
+                    Engine::Sparse(ldl) => (ldl.solve(&b), 0),
                     Engine::Cg(csr) => {
                         let (x, stats) = solve_cg_warm(csr, &b, warm, cg)?;
                         (x, stats.iterations)
@@ -321,7 +353,10 @@ impl NodalSystem {
                 index.len() * 8
                     + match engine {
                         Engine::Dense(_) => unknowns * unknowns * 8 + unknowns * 8,
-                        Engine::Sparse(lu) => lu.lu_nnz() * 16 + unknowns * 24,
+                        // L (u32 index + value per entry), D, and the
+                        // permutation, its inverse, the elimination tree
+                        // and L's column pointers.
+                        Engine::Sparse(ldl) => ldl.symbolic().l_nnz() * 12 + unknowns * 40,
                         Engine::Cg(matrix) => matrix.nnz() * 12 + unknowns * 8,
                         Engine::Empty => 0,
                     }
@@ -369,21 +404,48 @@ fn drive(
     Ok(fixed)
 }
 
-fn dense_lu(triplets: &TripletMatrix) -> Result<LuFactors, CircuitError> {
-    DenseMatrix::from_rows(&triplets.to_csr().to_dense()).factor()
+fn dense_matrix(triplets: &TripletMatrix) -> DenseMatrix {
+    DenseMatrix::from_rows(&triplets.to_csr().to_dense())
 }
 
-/// Stamps the reduced system: every conductive branch into the matrix,
-/// with branches to fixed nodes and equivalent currents into the RHS plan
-/// `ops` (cleared first, so a re-stamp reuses its allocation).
-fn stamp_reduced(
+/// Stamps the reduced matrix and converts it to the form its engine
+/// takes, under the `circuit.assemble` trace span.
+fn assemble<T>(
     circuit: &Circuit,
     lin: &[Option<Linearized>],
     index: &[usize],
     unknowns: usize,
     ops: &mut Vec<BOp>,
-) -> TripletMatrix {
+    convert: impl FnOnce(&TripletMatrix) -> T,
+) -> T {
+    let _span = trace::span("circuit.assemble", Level::Stage);
     let mut triplets = TripletMatrix::new(unknowns, unknowns);
+    stamp_reduced(circuit, lin, index, ops, Some(&mut triplets));
+    convert(&triplets)
+}
+
+/// Stamps the full-MNA matrix under the `circuit.assemble` trace span.
+fn assemble_full_mna(
+    circuit: &Circuit,
+    lin: &[Option<Linearized>],
+    ops: &mut Vec<BOp>,
+) -> DenseMatrix {
+    let _span = trace::span("circuit.assemble", Level::Stage);
+    let mut a = DenseMatrix::zeros(circuit.node_count() - 1 + circuit.source_count());
+    stamp_full_mna(circuit, lin, ops, Some(&mut a));
+    a
+}
+
+/// Stamps the reduced system: every conductive branch into `matrix` (when
+/// given), with branches to fixed nodes and equivalent currents into the
+/// RHS plan `ops` (cleared first, so a re-stamp reuses its allocation).
+fn stamp_reduced(
+    circuit: &Circuit,
+    lin: &[Option<Linearized>],
+    index: &[usize],
+    ops: &mut Vec<BOp>,
+    mut matrix: Option<&mut TripletMatrix>,
+) {
     ops.clear();
     for (idx, element) in circuit.elements().iter().enumerate() {
         match element {
@@ -399,10 +461,15 @@ fn stamp_reduced(
                     if u == usize::MAX {
                         continue;
                     }
-                    triplets.add(u, u, g);
-                    match index[other] {
-                        usize::MAX => ops.push(BOp::Scaled { u, node: other, g }),
-                        v => triplets.add(u, v, -g),
+                    let v = index[other];
+                    if let Some(m) = matrix.as_deref_mut() {
+                        m.add(u, u, g);
+                        if v != usize::MAX {
+                            m.add(u, v, -g);
+                        }
+                    }
+                    if v == usize::MAX {
+                        ops.push(BOp::Scaled { u, node: other, g });
                     }
                     ops.push(BOp::Const { u, c });
                 }
@@ -418,19 +485,18 @@ fn stamp_reduced(
             Element::VoltageSource { .. } => {} // encoded via the bindings
         }
     }
-    triplets
 }
 
 /// Stamps the full-MNA system: node rows `node - 1`, then one branch
-/// row/column per voltage source; the RHS plan goes to `ops` as in
-/// [`stamp_reduced`].
+/// row/column per voltage source, into `matrix` when given; the RHS plan
+/// goes to `ops` as in [`stamp_reduced`].
 fn stamp_full_mna(
     circuit: &Circuit,
     lin: &[Option<Linearized>],
     ops: &mut Vec<BOp>,
-) -> DenseMatrix {
+    mut matrix: Option<&mut DenseMatrix>,
+) {
     let n_v = circuit.node_count() - 1;
-    let mut a = DenseMatrix::zeros(n_v + circuit.source_count());
     ops.clear();
     // node id → matrix row (ground has none).
     let row = |node: usize| node.checked_sub(1);
@@ -445,9 +511,11 @@ fn stamp_full_mna(
                 };
                 for (r, other, c) in [(row(*n1), row(*n2), -ieq), (row(*n2), row(*n1), ieq)] {
                     let Some(r) = r else { continue };
-                    a[(r, r)] += g;
-                    if let Some(o) = other {
-                        a[(r, o)] -= g;
+                    if let Some(a) = matrix.as_deref_mut() {
+                        a[(r, r)] += g;
+                        if let Some(o) = other {
+                            a[(r, o)] -= g;
+                        }
                     }
                     ops.push(BOp::Const { u: r, c });
                 }
@@ -466,15 +534,16 @@ fn stamp_full_mna(
     for element in circuit.elements() {
         if let Element::VoltageSource { npos, nneg, .. } = element {
             let col = n_v + k;
-            for (node, sign) in [(*npos, 1.0), (*nneg, -1.0)] {
-                if let Some(r) = row(node) {
-                    a[(r, col)] += sign;
-                    a[(col, r)] += sign;
+            if let Some(a) = matrix.as_deref_mut() {
+                for (node, sign) in [(*npos, 1.0), (*nneg, -1.0)] {
+                    if let Some(r) = row(node) {
+                        a[(r, col)] += sign;
+                        a[(col, r)] += sign;
+                    }
                 }
             }
             ops.push(BOp::Source { u: col, k });
             k += 1;
         }
     }
-    a
 }

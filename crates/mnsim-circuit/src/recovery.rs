@@ -4,15 +4,18 @@
 //! Defective crossbars produce brutally conditioned nodal systems: a broken
 //! line modeled as a 1 TΩ near-open next to ohm-scale wire segments spreads
 //! the conductance spectrum over twelve decades, which can stall the
-//! conjugate-gradient path or break the LU pivoting that a healthy array
-//! never stresses. [`solve_robust`] wraps the plain solver in an escalation
-//! ladder so fault-injection campaigns *never* panic and *never* return
-//! silent garbage:
+//! conjugate-gradient path or collapse a factorization pivot that a
+//! healthy array never stresses. [`solve_robust`] wraps the plain solver in
+//! an escalation ladder so fault-injection campaigns *never* panic and
+//! *never* return silent garbage:
 //!
 //! 1. the caller's configured solve (usually `Method::Auto`),
 //! 2. conjugate gradients with a relaxed tolerance (a slightly loose answer
 //!    beats none — degradation statistics don't need 1e-10 residuals),
-//! 3. a dense LU over the full system (exact, `O(n³)` — the last resort).
+//! 3. sparse LDLᵀ (exact, `O(fill)`; a pivot that is not positive means
+//!    the system is not positive definite and escalates at once),
+//! 4. a dense LU with partial pivoting over the full system (exact,
+//!    `O(n³)` — the last resort).
 //!
 //! Every accepted solution is screened for NaN/∞ and its Kirchhoff
 //! current-law residual is measured, so the caller receives a
@@ -114,7 +117,7 @@ pub enum RecoveryStage {
     Base,
     /// Conjugate gradients with relaxed tolerance and a raised iteration cap.
     RelaxedCg,
-    /// Sparse direct LU ([`crate::klu`]) — exact like the dense rung but
+    /// Sparse LDLᵀ ([`crate::ldl`]) — exact like the dense rung but
     /// `O(fill)` instead of `O(n³)`, so it rescues ill-conditioned systems
     /// that stall CG without paying the dense price.
     SparseLu,
@@ -152,10 +155,11 @@ pub enum SolveGuard {
     /// No new best residual over the stagnation window
     /// ([`CircuitError::LinearStagnated`]).
     Stagnated,
-    /// Direct factorization hit a zero or vanishing pivot
-    /// ([`CircuitError::SingularSystem`]) — the system is singular under
-    /// that rung's elimination, so it escalates immediately rather than
-    /// returning garbage.
+    /// Direct factorization hit a singular pivot
+    /// ([`CircuitError::SingularSystem`]): a non-positive or non-finite
+    /// LDLᵀ pivot, or a vanishing dense-LU pivot. The system is singular
+    /// under that rung's elimination, so it escalates immediately rather
+    /// than returning garbage.
     SingularPivot,
 }
 

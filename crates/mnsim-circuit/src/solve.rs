@@ -6,7 +6,7 @@
 //! 1. **Linear circuits** are solved in one shot. If every voltage source is
 //!    referenced to ground (true for every crossbar netlist), the nodal
 //!    matrix reduced over the driven nodes is symmetric positive-definite
-//!    and goes to dense LU, sparse direct LU or Jacobi-preconditioned
+//!    and goes to dense LU, sparse LDLᵀ or Jacobi-preconditioned
 //!    conjugate gradients by size; circuits with floating sources use a
 //!    dense LU over the full modified-nodal-analysis system.
 //! 2. **Non-linear circuits** (memristors with a sinh I-V model) are solved
@@ -36,14 +36,16 @@ static NEWTON_ITERATIONS: obs::Counter = obs::Counter::new("circuit.solve.newton
 /// Linear-solver selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Method {
-    /// Dense LU below `DENSE_CUTOFF` (96) unknowns, KLU-style sparse direct
-    /// LU up to `SPARSE_CUTOFF` (200 000), conjugate gradients beyond (all for
+    /// Dense LU below `DENSE_CUTOFF` (96) unknowns, sparse LDLᵀ up to
+    /// `SPARSE_CUTOFF` (200 000), conjugate gradients beyond (all for
     /// grounded-source systems; floating sources use full MNA).
     #[default]
     Auto,
     /// Force the dense LU path (exact, `O(n³)`).
     DenseLu,
-    /// Force the sparse direct path ([`crate::klu`]; exact, fill-bounded).
+    /// Force the sparse direct path, sparse LDLᵀ ([`crate::ldl`]; exact,
+    /// fill-bounded). The name predates the LDLᵀ engine and is kept for
+    /// compatibility; floating sources still use full-MNA dense LU.
     SparseLu,
     /// Force conjugate gradients (requires grounded voltage sources).
     Cg,

@@ -5,7 +5,7 @@
 //! assembles them in triplet (COO) form and converts once to a compressed
 //! format: [`CsrMatrix`] for fast matrix-vector products inside the
 //! conjugate-gradient loop, [`CscMatrix`] for the column-oriented sparse
-//! LU factorization in [`crate::klu`].
+//! LDLᵀ factorization in [`crate::ldl`].
 
 use std::fmt;
 
@@ -102,32 +102,44 @@ impl TripletMatrix {
     /// Converts to CSC, summing duplicate coordinates.
     ///
     /// Entries within each column are sorted by row, and the conversion is
-    /// fully deterministic: two builders with the same triplet multiset
+    /// fully deterministic: duplicates are summed in insertion order, so
+    /// two builders that received the same triplets in the same order
     /// produce bit-identical matrices.
     pub fn to_csc(&self) -> CscMatrix {
-        let mut sorted = self.entries.clone();
-        sorted.sort_unstable_by_key(|&(row, col, _)| (col, row));
-
-        let mut col_ptr = vec![0usize; self.cols + 1];
-        let mut row_idx = Vec::with_capacity(sorted.len());
-        let mut values = Vec::with_capacity(sorted.len());
-
-        let mut i = 0;
-        while i < sorted.len() {
-            let (r, c, mut v) = sorted[i];
-            let mut j = i + 1;
-            while j < sorted.len() && sorted[j].0 == r && sorted[j].1 == c {
-                v += sorted[j].2;
-                j += 1;
-            }
-            row_idx.push(r);
-            values.push(v);
-            col_ptr[c + 1] += 1;
-            i = j;
+        // Bucket the triplets by column (a counting sort, stable), then
+        // order each short column by row.
+        let mut starts = vec![0usize; self.cols + 1];
+        for &(_, col, _) in &self.entries {
+            starts[col + 1] += 1;
+        }
+        for c in 0..self.cols {
+            starts[c + 1] += starts[c];
+        }
+        let mut next = starts.clone();
+        let mut bucketed = vec![(0usize, 0.0f64); self.entries.len()];
+        for &(row, col, value) in &self.entries {
+            bucketed[next[col]] = (row, value);
+            next[col] += 1;
         }
 
+        let mut col_ptr = Vec::with_capacity(self.cols + 1);
+        let mut row_idx = Vec::with_capacity(bucketed.len());
+        let mut values = Vec::with_capacity(bucketed.len());
+        col_ptr.push(0);
         for c in 0..self.cols {
-            col_ptr[c + 1] += col_ptr[c];
+            let column = &mut bucketed[starts[c]..starts[c + 1]];
+            column.sort_by_key(|&(row, _)| row);
+            for &(row, value) in column.iter() {
+                if row_idx.len() > col_ptr[c] && row_idx.last() == Some(&row) {
+                    if let Some(last) = values.last_mut() {
+                        *last += value;
+                    }
+                } else {
+                    row_idx.push(row);
+                    values.push(value);
+                }
+            }
+            col_ptr.push(row_idx.len());
         }
 
         CscMatrix {
@@ -256,8 +268,8 @@ impl fmt::Debug for CsrMatrix {
 /// Column-major twin of [`CsrMatrix`]: `col_ptr[j]..col_ptr[j+1]` indexes
 /// the stored entries of column `j`, whose row indices (`row_idx`, sorted
 /// ascending within each column) and values run in parallel. This is the
-/// natural layout for the left-looking sparse LU in [`crate::klu`], which
-/// touches one column at a time.
+/// natural layout for the sparse LDLᵀ in [`crate::ldl`], which reads one
+/// column at a time.
 #[derive(Clone, PartialEq)]
 pub struct CscMatrix {
     rows: usize,
@@ -310,7 +322,7 @@ impl CscMatrix {
 
     /// FNV-1a hash of the sparsity pattern (dimensions, column pointers,
     /// and row indices — *not* the values). Two matrices with equal
-    /// pattern hashes are refactorization-compatible in [`crate::klu`].
+    /// pattern hashes are refactorization-compatible in [`crate::ldl`].
     pub fn pattern_hash(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -411,6 +423,11 @@ mod tests {
         assert_eq!(m.get(0, 0), 3.5);
         assert_eq!(m.get(0, 1), -2.0);
         assert_eq!(m.nnz(), 3);
+        // Column 1 received row 1 before row 0: CSC sorts it by row.
+        let c = t.to_csc();
+        assert_eq!(c.col_ptr(), &[0, 1, 3]);
+        assert_eq!(c.row_idx(), &[0, 0, 1]);
+        assert_eq!(c.values(), &[3.5, -2.0, 1.0]);
     }
 
     #[test]

@@ -12,8 +12,12 @@
 //!
 //! and the resulting resistive network is solved with the DC machinery —
 //! including the per-step Newton loop when non-linear memristors are
-//! present. One nodal system serves the whole run: each step re-stamps it,
-//! so the sparse engine analyzes the mesh once and refactors per step.
+//! present. One nodal system serves the whole run. In a linear circuit the
+//! matrix never changes (`g = C/Δt` is fixed), so it is factored once and
+//! each step re-records only the right-hand-side plan, whose capacitor
+//! companion currents are the only values that move; a non-linear circuit
+//! re-stamps it every Newton pass, so the sparse engine analyzes the mesh
+//! once and refactors per pass.
 //! Backward Euler is unconditionally stable (L-stable), the right choice
 //! for the stiff RC meshes of crossbars.
 
@@ -161,7 +165,11 @@ pub fn solve_transient(
             let lin = linearize_with_companions(circuit, &iterate, &prev, dt, nonlinear);
             let stamped = match system.take() {
                 Some(mut held) => {
-                    held.restamp(circuit, &lin)?;
+                    if nonlinear {
+                        held.restamp(circuit, &lin)?;
+                    } else {
+                        held.restamp_rhs(circuit, &lin);
+                    }
                     held
                 }
                 None => NodalSystem::build(circuit, &lin, options.dc.method)?,

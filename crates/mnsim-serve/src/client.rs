@@ -6,12 +6,12 @@
 //! [`Session`](mnsim_core::simulator::Session) instead of going through
 //! the wire.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::os::unix::net::UnixStream;
 
 use mnsim_obs::{parse_json, JsonValue};
 
-use crate::protocol::{hello_line, SCHEMA_VERSION};
+use crate::protocol::{hello_line, read_line_bounded, SCHEMA_VERSION};
 
 /// One handshaken connection to a serving socket.
 #[derive(Debug)]
@@ -79,24 +79,16 @@ impl Client {
         self.writer.flush().map_err(|e| format!("send failed: {e}"))
     }
 
-    /// Reads one protocol line; `None` on server EOF.
+    /// Reads one protocol line of at most
+    /// [`MAX_LINE_BYTES`](crate::protocol::MAX_LINE_BYTES); `None` on
+    /// server EOF.
     ///
     /// # Errors
     ///
-    /// Propagates the I/O failure as a message.
+    /// Propagates the I/O failure, an oversize line included, as a
+    /// message.
     pub fn recv_line(&mut self) -> Result<Option<String>, String> {
-        let mut line = String::new();
-        let n = self
-            .reader
-            .read_line(&mut line)
-            .map_err(|e| format!("recv failed: {e}"))?;
-        if n == 0 {
-            return Ok(None);
-        }
-        while line.ends_with('\n') || line.ends_with('\r') {
-            line.pop();
-        }
-        Ok(Some(line))
+        read_line_bounded(&mut self.reader).map_err(|e| format!("recv failed: {e}"))
     }
 
     /// Sends `request_line` and reads until its `response` arrives,

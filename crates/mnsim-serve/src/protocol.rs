@@ -28,8 +28,14 @@
 //! configuration failures carry the full [`ConfigError`] list
 //! (`field_path` / `reason` / `allowed`) so a client can render every
 //! violation at once.
+//!
+//! Both ends read lines through [`read_line_bounded`], which stops at
+//! [`MAX_LINE_BYTES`]: the server answers an oversize line with a
+//! `malformed` error and closes the connection, so no client stream can
+//! make it buffer without bound.
 
 use std::fmt::Write as _;
+use std::io::{self, BufRead, Read as _};
 
 use mnsim_core::checkpoint::hex_u64;
 use mnsim_core::config::Config;
@@ -43,6 +49,43 @@ use mnsim_tech::interconnect::InterconnectNode;
 /// handshake rejects clients speaking a different version with a typed
 /// `schema_mismatch` error.
 pub const SCHEMA_VERSION: u64 = 1;
+
+/// Longest line, terminator excluded, that the server reads and the
+/// client accepts: 1 MiB. The largest responses are DSE sweeps at about
+/// 0.5 KB per feasible point, so this holds some 2 000 points; the
+/// paper's large-bank sweep (285 points) is about 130 KB.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Reads one line of at most [`MAX_LINE_BYTES`] bytes and strips its
+/// `\n` / `\r\n` terminator; `Ok(None)` at end of stream. A final line
+/// without a terminator is returned as is.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] for a line longer than the cap (its
+/// remainder is left unread) or one that is not UTF-8; other read
+/// failures as they come.
+pub fn read_line_bounded(reader: &mut impl BufRead) -> io::Result<Option<String>> {
+    let mut line = Vec::new();
+    let cap = MAX_LINE_BYTES as u64 + 1;
+    if reader.take(cap).read_until(b'\n', &mut line)? == 0 {
+        return Ok(None);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+    } else if line.len() > MAX_LINE_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("line exceeds {MAX_LINE_BYTES} bytes"),
+        ));
+    }
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
 
 /// One parsed client → server message.
 #[derive(Debug, Clone, PartialEq)]
@@ -709,5 +752,25 @@ mod tests {
             checkpoint: None,
         });
         assert_eq!(wire.code, ErrorCode::Deadline);
+    }
+
+    #[test]
+    fn bounded_reader_strips_terminators_and_stops_at_the_cap() {
+        let mut input: &[u8] = b"first\r\nsecond\nlast";
+        for expected in ["first", "second", "last"] {
+            let line = read_line_bounded(&mut input).unwrap();
+            assert_eq!(line.as_deref(), Some(expected));
+        }
+        assert_eq!(read_line_bounded(&mut input).unwrap(), None);
+
+        let at_cap = format!("{}\n", "x".repeat(MAX_LINE_BYTES));
+        let mut input = at_cap.as_bytes();
+        let line = read_line_bounded(&mut input).unwrap();
+        assert_eq!(line.map(|l| l.len()), Some(MAX_LINE_BYTES));
+
+        let over = vec![b'x'; MAX_LINE_BYTES + 1];
+        let mut input = over.as_slice();
+        let err = read_line_bounded(&mut input).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

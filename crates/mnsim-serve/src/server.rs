@@ -44,7 +44,7 @@
 //! stdio therefore behaves as a one-shot batch evaluator.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -64,7 +64,8 @@ use mnsim_obs::live::{LiveConfig, LiveTap};
 
 use crate::protocol::{
     error_line, event_line, hello_ok_line, interconnects_from_nm, parse_request, push_json_string,
-    response_line, ConfigSpec, ErrorCode, Op, Request, WireError, SCHEMA_VERSION,
+    read_line_bounded, response_line, ConfigSpec, ErrorCode, Op, Request, WireError,
+    SCHEMA_VERSION,
 };
 
 static SERVE_REQUESTS: obs::Counter = obs::Counter::new("serve.requests");
@@ -540,9 +541,11 @@ fn handle_submit(
 }
 
 /// Serves one client connection: handshake, then a request loop until
-/// EOF or a `shutdown` message. `global_shutdown` is `true` when a
-/// `shutdown` message from this client should stop the whole server
-/// (always the case today — the protocol has no per-client detach).
+/// EOF, a `shutdown` message, or a line over
+/// [`MAX_LINE_BYTES`](crate::protocol::MAX_LINE_BYTES). `global_shutdown`
+/// is `true` when a `shutdown` message from this client should stop the
+/// whole server (always the case today — the protocol has no per-client
+/// detach).
 fn serve_client(
     shared: &Arc<Shared>,
     reader: impl std::io::Read,
@@ -550,10 +553,22 @@ fn serve_client(
     client: u64,
     max_pending: usize,
 ) {
-    let mut lines = BufReader::new(reader).lines();
+    let mut reader = BufReader::new(reader);
+    // An oversize or non-UTF-8 line is answered with `malformed` and ends
+    // the connection; any other read failure ends it silently.
+    let mut next_line = || match read_line_bounded(&mut reader) {
+        Ok(line) => line,
+        Err(err) => {
+            if err.kind() == std::io::ErrorKind::InvalidData {
+                let err = WireError::new(ErrorCode::Malformed, err.to_string());
+                writer.send(&error_line(None, &err));
+            }
+            None
+        }
+    };
     // Handshake: the first line must be a matching `hello`.
-    match lines.next() {
-        Some(Ok(line)) => match parse_request(&line) {
+    match next_line() {
+        Some(line) => match parse_request(&line) {
             Ok(Request::Hello { schema_version }) if schema_version == SCHEMA_VERSION => {
                 writer.send(&hello_ok_line());
             }
@@ -581,10 +596,9 @@ fn serve_client(
                 return;
             }
         },
-        _ => return,
+        None => return,
     }
-    for line in lines {
-        let Ok(line) = line else { break };
+    while let Some(line) = next_line() {
         if line.trim().is_empty() {
             continue;
         }

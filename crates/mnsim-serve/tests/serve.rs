@@ -1,5 +1,6 @@
 //! End-to-end tests of the session server over a real unix socket:
-//! handshake and schema rejection, cache-hit speedup, in-flight
+//! handshake and schema rejection, the request-line length cap, cache-hit
+//! speedup, in-flight
 //! deduplication, concurrent-client bit-identity, eviction under a tiny
 //! budget, backpressure, and the metrics artifact.
 //!
@@ -128,6 +129,47 @@ fn handshake_rejects_schema_mismatch_with_typed_error() {
         let mut rest = String::new();
         let n = BufReader::new(&stream).read_line(&mut rest).unwrap();
         assert_eq!(n, 0, "connection stays open after rejection: {rest:?}");
+    });
+}
+
+#[test]
+fn oversize_line_is_rejected_and_the_server_keeps_serving() {
+    let _guard = lock();
+    with_server(options("oversize"), |path| {
+        // 2 MiB with no newline. The server stops reading at its 1 MiB cap
+        // and closes the connection, so the tail of this write may fail.
+        let stream = connect_stream(path).expect("raw stream connects");
+        let mut sender = stream.try_clone().unwrap();
+        let flood = std::thread::spawn(move || {
+            let _ = sender.write_all(&vec![b'x'; 2 << 20]);
+        });
+        let mut reader = BufReader::new(&stream);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        let value = parse_json(reply.trim()).expect("rejection parses");
+        assert_eq!(
+            value
+                .get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(JsonValue::as_str),
+            Some("malformed"),
+            "{reply}"
+        );
+        // The connection closes after the rejection (EOF, or a reset for
+        // the bytes the server never read).
+        let mut rest = String::new();
+        assert!(
+            matches!(reader.read_line(&mut rest), Ok(0) | Err(_)),
+            "connection stays open after an oversize line: {rest:?}"
+        );
+        flood.join().unwrap();
+
+        // A second connection is served normally.
+        let mut client = Client::connect(path).expect("server still accepts");
+        let pong = client
+            .call(r#"{"type":"request","id":1,"op":"ping"}"#)
+            .unwrap();
+        assert_ok(&pong.response);
     });
 }
 

@@ -74,8 +74,9 @@ fn sparse_crossbar(iv: IvModel) -> CrossbarSpec {
 
 #[test]
 fn linear_transient_analyzes_its_mesh_once() {
-    // Every step re-stamps one nodal system held for the whole run, so the
-    // RC mesh is analyzed once, not once per step.
+    // One nodal system serves the whole run and a linear mesh's matrix
+    // never changes, so it is analyzed and factored once; later steps only
+    // replay the right-hand side.
     let mut xbar = sparse_crossbar(IvModel::Linear).build().unwrap();
     xbar.add_node_capacitance(Capacitance::from_femtofarads(10.0))
         .unwrap();
@@ -86,6 +87,8 @@ fn linear_transient_analyzes_its_mesh_once() {
     let snap = session.snapshot();
     assert_eq!(snap.counter("circuit.solve.sparse_lu"), 400);
     assert_eq!(snap.counter("solver.klu.analyses"), 1);
+    assert_eq!(snap.counter("solver.klu.factors"), 1);
+    assert_eq!(snap.counter("solver.klu.refactor"), 0);
 }
 
 #[test]
