@@ -330,7 +330,8 @@ fn sparse_bench_crossbar(state_kohms: f64) -> CrossbarCircuit {
 }
 
 /// Cold sparse-direct path: every repetition re-assembles, re-analyzes
-/// (BTF + AMD) and re-factors the reduced system from scratch.
+/// (AMD ordering + symbolic pass) and re-factors the reduced system from
+/// scratch.
 fn dc_solve_sparse_cold_workload() -> impl FnMut() {
     let xbar = sparse_bench_crossbar(10.0);
     let options = SolveOptions {
@@ -344,8 +345,9 @@ fn dc_solve_sparse_cold_workload() -> impl FnMut() {
 }
 
 /// Refactor fast path: one [`PreparedSystem`] holds the symbolic analysis
-/// and pivot order; every repetition swaps in new cell conductances (same
-/// pattern), replays the cached elimination program, and backsolves —
+/// (ordering, elimination tree, supernodes); every repetition swaps in new
+/// cell conductances (same pattern), reruns only the numeric LDLᵀ pass,
+/// and backsolves —
 /// the per-trial regime of a fault campaign or a reprogrammed layer.
 fn dc_solve_sparse_refactor_workload() -> impl FnMut() {
     let states = [sparse_bench_crossbar(10.0), sparse_bench_crossbar(12.5)];
@@ -827,8 +829,9 @@ mod tests {
             "batched multi-RHS solve is only {:.2}x faster than serial",
             serial / batch
         );
-        // Replaying the cached pivot order must beat a from-scratch
-        // symbolic analysis + pivoting factorization by at least 2× —
+        // A numeric refactor on the cached analysis must beat a
+        // from-scratch ordering + symbolic analysis + factorization by at
+        // least 2× —
         // that gap is the whole justification for the refactor rung.
         let sparse_cold = median_of("dc_solve_sparse_cold");
         let sparse_refactor = median_of("dc_solve_sparse_refactor");

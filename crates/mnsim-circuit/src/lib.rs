@@ -11,9 +11,10 @@
 //!   non-linear memristor cells, on the one nodal-system assembly and
 //!   engine dispatch that the batch and transient solvers share,
 //! * [`ldl`] — sparse LDLᵀ for the symmetric positive-definite reduced
-//!   nodal system (AMD ordering + elimination tree + up-looking numeric
-//!   pass) with a cached symbolic analysis and a numeric-only `refactor()`
-//!   for same-pattern value updates,
+//!   nodal system (AMD ordering + postordered elimination tree, then a
+//!   simplicial up-looking or, for dense fill, a supernodal multifrontal
+//!   numeric pass) with a cached symbolic analysis and a numeric-only
+//!   `refactor()` for same-pattern value updates,
 //! * [`batch`] — multi-RHS solving over a [`batch::PreparedSystem`] that
 //!   caches the assembled system (dense LU below 96 unknowns, sparse LDLᵀ
 //!   above) per conductance structure and warm-starts CG across correlated

@@ -353,10 +353,7 @@ impl NodalSystem {
                 index.len() * 8
                     + match engine {
                         Engine::Dense(_) => unknowns * unknowns * 8 + unknowns * 8,
-                        // L (u32 index + value per entry), D, and the
-                        // permutation, its inverse, the elimination tree
-                        // and L's column pointers.
-                        Engine::Sparse(ldl) => ldl.symbolic().l_nnz() * 12 + unknowns * 40,
+                        Engine::Sparse(ldl) => ldl.approx_bytes(),
                         Engine::Cg(matrix) => matrix.nnz() * 12 + unknowns * 8,
                         Engine::Empty => 0,
                     }
@@ -402,6 +399,35 @@ fn drive(
         }
     }
     Ok(fixed)
+}
+
+/// The reduced nodal matrix of `circuit`, whose sources must all be
+/// grounded, at its low-field linearization — test support for the
+/// engines.
+#[cfg(test)]
+pub(crate) fn reduced_matrix(circuit: &Circuit) -> crate::sparse::CscMatrix {
+    let mut index = vec![0usize; circuit.node_count()];
+    index[Circuit::GROUND] = usize::MAX;
+    for element in circuit.elements() {
+        if let Element::VoltageSource { npos, nneg, .. } = element {
+            index[*npos] = usize::MAX;
+            index[*nneg] = usize::MAX;
+        }
+    }
+    let mut unknowns = 0;
+    for slot in index.iter_mut().filter(|slot| **slot == 0) {
+        *slot = unknowns;
+        unknowns += 1;
+    }
+    let lin = crate::solve::linearize(circuit, None);
+    assemble(
+        circuit,
+        &lin,
+        &index,
+        unknowns,
+        &mut Vec::new(),
+        TripletMatrix::to_csc,
+    )
 }
 
 fn dense_matrix(triplets: &TripletMatrix) -> DenseMatrix {

@@ -489,14 +489,19 @@ fn handle_submit(
             return;
         }
     };
-    // Serve directly from the cache when the artifact already exists.
+    // Serve directly from the cache when the artifact already exists. The
+    // lookup runs under the state lock: a worker caches its artifact
+    // before it leaves `inflight`, so a job cannot finish between this
+    // lookup and the in-flight check below and be evaluated twice.
+    let mut state = shared.lock_state();
     if let Some(artifact) = shared.cache.get(key) {
+        drop(state);
         if let Some(result) = artifact_result_json(&artifact) {
             shared.respond(writer, &response_line(id, "hit", Some(key), &result));
             return;
         }
+        state = shared.lock_state();
     }
-    let mut state = shared.lock_state();
     if let Some(waiters) = state.inflight.get_mut(&key) {
         // Identical request already evaluating (or queued): join it.
         waiters.push(Waiter {

@@ -1,8 +1,8 @@
 //! End-to-end tests of the session server over a real unix socket:
-//! handshake and schema rejection, the request-line length cap, cache-hit
-//! speedup, in-flight
-//! deduplication, concurrent-client bit-identity, eviction under a tiny
-//! budget, backpressure, and the metrics artifact.
+//! handshake and schema rejection, the request-line length cap, a deeply
+//! nested line, cache-hit speedup, in-flight deduplication,
+//! concurrent-client bit-identity, eviction under a tiny budget,
+//! backpressure, and the metrics artifact.
 //!
 //! Every test boots its own server (on its own socket path) inside this
 //! process. The server owns the process-global obs metrics + live
@@ -165,6 +165,37 @@ fn oversize_line_is_rejected_and_the_server_keeps_serving() {
         flood.join().unwrap();
 
         // A second connection is served normally.
+        let mut client = Client::connect(path).expect("server still accepts");
+        let pong = client
+            .call(r#"{"type":"request","id":1,"op":"ping"}"#)
+            .unwrap();
+        assert_ok(&pong.response);
+    });
+}
+
+#[test]
+fn deeply_nested_line_is_malformed_and_the_server_keeps_serving() {
+    let _guard = lock();
+    with_server(options("nested"), |path| {
+        // ~200 KB of `[[[…]]]` as the handshake line: the parser stops at
+        // its depth cap instead of overflowing the server's stack.
+        let mut stream = connect_stream(path).expect("raw stream connects");
+        let line = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        writeln!(stream, "{line}").unwrap();
+        stream.flush().unwrap();
+        let mut reply = String::new();
+        BufReader::new(&stream).read_line(&mut reply).unwrap();
+        let value = parse_json(reply.trim()).expect("rejection parses");
+        assert_eq!(
+            value
+                .get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(JsonValue::as_str),
+            Some("malformed"),
+            "{reply}"
+        );
+
+        // A second connection handshakes and is served.
         let mut client = Client::connect(path).expect("server still accepts");
         let pong = client
             .call(r#"{"type":"request","id":1,"op":"ping"}"#)

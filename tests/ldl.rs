@@ -3,8 +3,9 @@
 //! near machine precision (fault overlays included), the cached symbolic
 //! analysis must satisfy its structural invariants, value-only
 //! refactorization must be bit-identical to a fresh factorization,
-//! singular systems must surface as typed errors (never NaN or a hang), and
-//! fault campaigns must actually hit the refactor fast path per trial.
+//! singular systems must surface as typed errors (never NaN or a hang) on
+//! both the simplicial and the supernodal numeric path, and fault campaigns
+//! must actually hit the refactor fast path per trial.
 //!
 //! Every test holds the [`obs::session`] lock while it solves, so the exact
 //! counter assertions cannot include another test's factorizations.
@@ -263,6 +264,29 @@ fn floating_node_is_a_typed_singular_error() {
     assert_eq!(snap.counter("circuit.recovery.exhausted"), 1);
 }
 
+/// The same floating node inside a 64×64 crossbar, whose 8 192-unknown
+/// reduced system takes the supernodal numeric path: the isolated node is
+/// a one-column supernode whose pivot is exactly zero.
+#[test]
+fn floating_node_on_the_supernodal_path_is_a_typed_singular_error() {
+    let built = random_crossbar(64, 64, 11).build().unwrap();
+    let mut circuit = built.circuit().clone();
+    circuit.add_node();
+
+    let sparse = SolveOptions {
+        method: Method::SparseLu,
+        ..SolveOptions::default()
+    };
+    let session = obs::session();
+    match solve_dc(&circuit, &sparse) {
+        Err(CircuitError::SingularSystem { .. }) => {}
+        other => panic!("expected SingularSystem, got {other:?}"),
+    }
+    let snap = session.snapshot();
+    assert_eq!(snap.counter("solver.klu.supernodal"), 1);
+    assert_eq!(snap.counter("solver.klu.factors"), 0);
+}
+
 /// An island of two nodes joined by a resistor, touching nothing driven:
 /// every row has a positive diagonal, but the island's Laplacian block is
 /// singular, so the second pivot of the island is exactly zero.
@@ -287,8 +311,10 @@ fn resistor_island_is_a_typed_singular_error() {
     }
 }
 
-/// The solver phases show in a trace: one ordering per analysis, and one
-/// assembly, numeric factorization and back-solve per Newton step.
+/// The solver phases show in a trace: one ordering and one symbolic pass
+/// per analysis, and one assembly, numeric factorization and back-solve
+/// per Newton step. The 128-unknown mesh stays on the simplicial path; a
+/// 64×64 crossbar's numeric pass is supernodal and counted as such.
 #[test]
 fn solver_phases_are_traced() {
     let mut spec = random_crossbar(8, 8, 3);
@@ -310,9 +336,31 @@ fn solver_phases_are_traced() {
     let steps = 1 + snap.counter("circuit.solve.newton_iterations");
     assert!(steps >= 2, "the sinh solve must take Newton steps");
     assert_eq!(begins("solver.order"), 1);
+    assert_eq!(begins("solver.symbolic"), 1);
     assert_eq!(begins("circuit.assemble"), steps);
     assert_eq!(begins("solver.factor"), steps);
     assert_eq!(begins("solver.solve"), steps);
+    assert_eq!(snap.counter("solver.klu.supernodal"), 0);
+    drop(session);
+
+    let large = random_crossbar(64, 64, 5).build().unwrap();
+    let session = obs::session();
+    let tracing = trace::session();
+    solve_dc(large.circuit(), &SolveOptions::default()).unwrap();
+    let collected = tracing.finish();
+    let snap = session.snapshot();
+    let begins = |name: &str| {
+        collected
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::Begin && e.name == name)
+            .count()
+    };
+    assert_eq!(begins("solver.order"), 1);
+    assert_eq!(begins("solver.symbolic"), 1);
+    assert_eq!(begins("solver.factor"), 1);
+    assert_eq!(snap.counter("solver.klu.supernodal"), 1);
+    assert_eq!(snap.counter("solver.klu.factors"), 1);
 }
 
 /// Acceptance: per-trial value-only updates in a fault campaign hit the
